@@ -245,11 +245,20 @@ def _branch_quantities(system, b, omega, volts, currents_col):
 
 
 def _self_check(system, phasors):
-    """KCL at every non-ground node and V = Z*I per branch, both to 1e-10."""
+    """KCL at every non-ground node and V = Z*I per branch, both to 1e-10.
+
+    Each gap is judged against the largest magnitude of its unit anywhere
+    in the solution, so a branch that carries no current is held to the
+    round-off of the whole network, not to its own zero.
+    """
     net = system.net
     flows = {n: 0.0 + 0.0j for n in system.node_index}
-    scale = max(
+    amp_scale = max(
         [abs(i) for i in phasors.current.values()] + [abs(phasors.port_current)],
+        default=0.0,
+    )
+    volt_scale = max(
+        [abs(v) for v in phasors.voltage.values()] + [abs(phasors.port_voltage)],
         default=0.0,
     )
     for b in net.branches:
@@ -261,19 +270,18 @@ def _self_check(system, phasors):
             flows[nb] -= i
     flows[net.port[0]] -= phasors.port_current
     worst = max((abs(v) for v in flows.values()), default=0.0)
-    if worst > _LAW_RTOL * max(scale, 1e-300):
+    if worst > _LAW_RTOL * max(amp_scale, 1e-300):
         raise SingularNetworkError(phasors.omega, "current-law self-check failed")
     for b in net.branches:
         v = phasors.voltage[b.id]
         i = phasors.current[b.id]
         if b.kind == RESISTOR:
-            gap = abs(v - b.value * i)
+            gap, law_scale = abs(v - b.value * i), volt_scale
         elif b.kind == INDUCTOR:
-            gap = abs(v - 1j * phasors.omega * b.value * i)
+            gap, law_scale = abs(v - 1j * phasors.omega * b.value * i), volt_scale
         else:
-            gap = abs(i - 1j * phasors.omega * b.value * v)
-        law_scale = max(abs(v), abs(i), abs(b.value * i), 1e-300)
-        if gap > _LAW_RTOL * law_scale:
+            gap, law_scale = abs(i - 1j * phasors.omega * b.value * v), amp_scale
+        if gap > _LAW_RTOL * max(law_scale, 1e-300):
             raise SingularNetworkError(phasors.omega, f"branch law failed for {b.id!r}")
 
 

@@ -13,9 +13,11 @@ solution:
 The balances verified numerically are the instantaneous one,
 ``dw/dt = p - p_d``, the active one, ``dW/dt = P - P_d`` at every scale,
 and the reactive one, ``-dX/ds = Q``, which runs along the scale axis
-rather than the time axis.  All derivatives are taken term by term on
-the two-frequency (beat) expansion of each quantity, so residuals
-measure rounding error, not discretization error.
+rather than the time axis.  Every scaled quantity is a weighted sum of
+|a_b|^2 over branch signals a_b that are analytic in t + js, so
+``da/ds = j da/dt`` and the exact t- and s-derivatives follow from the
+product rule, line by line.  Residuals therefore measure rounding error,
+not discretization error.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .spectrum import (
     WATT,
     COMMENSURATE_RTOL,
     LineSpectrum,
-    _find_lattice,
 )
 
 # Two independent routes to the same number must agree this tightly.
@@ -46,154 +47,66 @@ class ConsistencyError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# beat expansion: the workhorse behind every scaled quantity
-#
-# A product of two analytic signals on a common lattice is a sum of
-# terms  c * e^{j*(n_a - n_b)*base*t} * e^{-(n_a + n_b)*base*s}.  Keying
-# the terms by the integer pair (n_a - n_b, n_a + n_b) keeps every
-# derivative in t or s exact.
+# per-line amplitudes and the (t, s) kernel built from them
+
+# weight of |a_b|^2 in W_m, W_e or P_d per unit value, and its sign in X
+_WEIGHT = {INDUCTOR: 0.25, CAPACITOR: 0.25, RESISTOR: 0.5}
+_SIGN = {INDUCTOR: 1.0, CAPACITOR: -1.0, RESISTOR: 0.0}
 
 
-@dataclass
-class _BeatForm:
-    """Complex-valued finite sum over integer beat keys (dn, sn)."""
+class _LineAmplitudes:
+    """Branch-by-line analytic amplitudes of one solution, from ``per_line``.
 
-    base: float
-    terms: dict[tuple[int, int], complex]
+    A row's analytic signal is ``sum_k A_k e^{j w_k t} e^{-w_k s}``, the
+    DC line entering at w = 0 with full weight.  Row b of ``branch`` holds
+    the current of an inductor or resistor, or the voltage of a capacitor;
+    ``c`` weights its |a_b|^2 in W_m, W_e or P_d (L/4, C/4, R/2) and
+    ``sigma`` signs it in X = W_m - W_e (+1, -1, 0).  ``port`` holds the
+    port voltage and current rows.
+    """
 
-    @classmethod
-    def zero(cls, base) -> "_BeatForm":
-        return cls(base, {})
+    def __init__(self, sol: NetworkSolution):
+        branches, per_line = sol.netlist.branches, sol.per_line
+        self.omegas = np.array([ph.omega for ph in per_line], dtype=float)
+        self.branch = np.array(
+            [[(ph.voltage if b.kind == CAPACITOR else ph.current)[b.id]
+              for ph in per_line] for b in branches],
+            dtype=complex,
+        ).reshape(len(branches), len(per_line))
+        self.c = np.array([_WEIGHT[b.kind] * b.value for b in branches], dtype=float)
+        self.sigma = np.array([_SIGN[b.kind] for b in branches], dtype=float)
+        self.port = np.array(
+            [[ph.port_voltage, ph.port_current] for ph in per_line], dtype=complex
+        ).reshape(len(per_line), 2).T
 
-    def copy(self) -> "_BeatForm":
-        return _BeatForm(self.base, dict(self.terms))
-
-    def add_inplace(self, other, factor=1.0):
-        if other.terms and self.terms and other.base != self.base:
-            raise ValueError("beat expansions live on different lattices")
-        if other.terms and not self.terms:
-            self.base = other.base
-        for key, c in other.terms.items():
-            self.terms[key] = self.terms.get(key, 0.0 + 0.0j) + factor * c
-        return self
-
-    def scaled(self, factor) -> "_BeatForm":
-        return _BeatForm(self.base, {k: factor * c for k, c in self.terms.items()})
-
-    def real_part(self) -> "_BeatForm":
-        out: dict[tuple[int, int], complex] = {}
-        for (dn, sn), c in self.terms.items():
-            half = 0.5 * c
-            out[(dn, sn)] = out.get((dn, sn), 0.0 + 0.0j) + half
-            out[(-dn, sn)] = out.get((-dn, sn), 0.0 + 0.0j) + half.conjugate()
-        return _BeatForm(self.base, out)
-
-    def imag_part(self) -> "_BeatForm":
-        out: dict[tuple[int, int], complex] = {}
-        for (dn, sn), c in self.terms.items():
-            half = -0.5j * c
-            out[(dn, sn)] = out.get((dn, sn), 0.0 + 0.0j) + half
-            out[(-dn, sn)] = out.get((-dn, sn), 0.0 + 0.0j) + half.conjugate()
-        return _BeatForm(self.base, out)
-
-    def partial_t(self) -> "_BeatForm":
-        return _BeatForm(
-            self.base,
-            {k: c * (1j * k[0] * self.base) for k, c in self.terms.items()},
-        )
-
-    def partial_s(self) -> "_BeatForm":
-        return _BeatForm(
-            self.base,
-            {k: c * (-k[1] * self.base) for k, c in self.terms.items()},
-        )
-
-    def evaluate(self, t_grid, s_grid) -> np.ndarray:
-        """Complex values on the outer grid, shape (len(t), len(s))."""
-        t_arr = np.atleast_1d(np.asarray(t_grid, dtype=float))
-        s_arr = np.atleast_1d(np.asarray(s_grid, dtype=float))
-        if not self.terms:
-            return np.zeros((t_arr.size, s_arr.size), dtype=complex)
-        dns = sorted({k[0] for k in self.terms})
-        sns = sorted({k[1] for k in self.terms})
-        dn_pos = {d: i for i, d in enumerate(dns)}
-        sn_pos = {s: i for i, s in enumerate(sns)}
-        coeff = np.zeros((len(dns), len(sns)), dtype=complex)
-        for (dn, sn), c in self.terms.items():
-            coeff[dn_pos[dn], sn_pos[sn]] = c
-        rot = np.exp(1j * self.base * np.multiply.outer(t_arr, np.array(dns, dtype=float)))
-        damp = np.exp(-self.base * np.multiply.outer(np.array(sns, dtype=float), s_arr))
-        return rot @ coeff @ damp
-
-    def mean_terms(self) -> dict[int, complex]:
-        """Coefficients of the time average, keyed by the decay index sn."""
-        out: dict[int, complex] = {}
-        for (dn, sn), c in self.terms.items():
-            if dn == 0:
-                out[sn] = out.get(sn, 0.0 + 0.0j) + c
-        return out
-
-    def mean_at(self, s_grid) -> np.ndarray:
-        """Time average as a function of s."""
-        s_arr = np.atleast_1d(np.asarray(s_grid, dtype=float))
-        out = np.zeros(s_arr.size, dtype=complex)
-        for sn, c in self.mean_terms().items():
-            out += c * np.exp(-sn * self.base * s_arr)
-        return out
+    def reactive_energy(self) -> np.ndarray:
+        """Time mean of W_m - W_e carried by each line at s = 0."""
+        return (self.sigma * self.c) @ (np.abs(self.branch) ** 2)
 
 
-def _line_terms(spectrum: LineSpectrum, base) -> list[tuple[int, complex]]:
-    """(lattice index, analytic amplitude) pairs; DC enters at index 0."""
-    out: list[tuple[int, complex]] = []
-    for ln in spectrum.lines:
-        if ln.omega == 0.0:
-            out.append((0, complex(ln.amplitude)))
-        else:
-            n = int(round(ln.omega / base))
-            if n <= 0 or abs(ln.omega - n * base) > COMMENSURATE_RTOL * ln.omega:
-                raise ValueError(
-                    f"frequency {ln.omega!r} is off the common beat lattice"
-                )
-            out.append((n, complex(ln.amplitude)))
-    return out
+class _GridKernel:
+    """Line tables of one solution on one (t, s) grid.
 
+    ``rot = exp(j w_k t)`` (T x L) and ``damp = exp(-w_k s)`` (L x S), so
+    amplitude rows ``A`` give ``rot @ (A[:, :, None] * damp)``.  A shift
+    of t by h multiplies A_k by ``exp(j w_k h)`` and a shift of s by h
+    multiplies it by ``exp(-w_k h)``, so finite differences reuse the tables.
+    """
 
-def _analytic_product(f: LineSpectrum, g: LineSpectrum, base) -> _BeatForm:
-    """Beat expansion of ``f_analytic(t+js) * conj(g_analytic(t+js))``."""
-    form = _BeatForm.zero(base)
-    if base == 0.0:
-        dc = f.mean() * g.mean()
-        if dc != 0.0:
-            form.terms[(0, 0)] = complex(dc)
-        return form
-    for na, a in _line_terms(f, base):
-        for nb, b in _line_terms(g, base):
-            key = (na - nb, na + nb)
-            form.terms[key] = form.terms.get(key, 0.0 + 0.0j) + a * b.conjugate()
-    return form
+    def __init__(self, lines: _LineAmplitudes, t_arr, s_arr):
+        self.lines = lines
+        self.store = lines.sigma != 0.0
+        self.rot = np.exp(1j * np.multiply.outer(t_arr, lines.omegas))
+        self.damp = np.exp(-np.multiply.outer(lines.omegas, s_arr))
 
+    def analytic(self, amps, factor=1.0, cols=slice(None)) -> np.ndarray:
+        """Grid values of each amplitude row, shape (rows, T, S)."""
+        return self.rot @ ((amps * factor)[:, :, None] * self.damp[:, cols])
 
-def _beat_base(sol: NetworkSolution) -> float:
-    base, _ = _find_lattice([w for w in sol.source.omegas if w > 0.0])
-    return 0.0 if base is None else base
-
-
-def _stored_energy_forms(sol: NetworkSolution, base):
-    """Beat expansions of magnetic energy, electric energy, dissipation."""
-    w_m = _BeatForm.zero(base)
-    w_e = _BeatForm.zero(base)
-    p_d = _BeatForm.zero(base)
-    for b in sol.netlist.branches:
-        if b.kind == INDUCTOR:
-            i_b = sol.branch_current[b.id]
-            w_m.add_inplace(_analytic_product(i_b, i_b, base), 0.25 * b.value)
-        elif b.kind == CAPACITOR:
-            u_b = sol.branch_voltage[b.id]
-            w_e.add_inplace(_analytic_product(u_b, u_b, base), 0.25 * b.value)
-        else:
-            i_b = sol.branch_current[b.id]
-            p_d.add_inplace(_analytic_product(i_b, i_b, base), 0.5 * b.value)
-    return w_m, w_e, p_d
+    def stored(self, weights, factor, cols=slice(None)) -> np.ndarray:
+        """sum_b weights[b] |a_b|^2 over L and C, line k scaled by factor[k]."""
+        a = self.analytic(self.lines.branch[self.store], factor, cols)
+        return (weights[self.store, None, None] * np.abs(a) ** 2).sum(axis=0)
 
 
 # ----------------------------------------------------------------------
@@ -243,15 +156,36 @@ def instantaneous(sol: NetworkSolution) -> InstantaneousSet:
     )
 
 
+def _instantaneous_terms(iset: InstantaneousSet, t_arr):
+    """dw/dt (taken line-wise), p and p_d on the time grid."""
+    return (
+        iset.w_stored.derivative().evaluate(t_arr),
+        iset.p.evaluate(t_arr),
+        iset.p_dissipated.evaluate(t_arr),
+    )
+
+
+def _power_gap(dw_dt, p, p_d) -> np.ndarray:
+    """|dw/dt - (p - p_d)|: the instantaneous law, and the active law at every s."""
+    return np.abs(dw_dt - p + p_d)
+
+
+def _worst(gap, *axes):
+    """Largest entry of ``gap`` and its coordinates on the given grid axes."""
+    if gap.size == 0:
+        return 0.0, tuple(0.0 for _ in axes)
+    idx = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    return float(gap[idx]), tuple(float(ax[i]) for ax, i in zip(axes, idx))
+
+
+def _peak(*arrays) -> float:
+    return max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
+
+
 def instantaneous_balance(iset: InstantaneousSet, t_grid) -> float:
     """Max over the grid of |dw/dt - (p - p_d)|, with dw/dt taken line-wise."""
     t_arr = np.asarray(t_grid, dtype=float)
-    gap = (
-        iset.w_stored.derivative().evaluate(t_arr)
-        - iset.p.evaluate(t_arr)
-        + iset.p_dissipated.evaluate(t_arr)
-    )
-    return float(np.max(np.abs(gap))) if t_arr.size else 0.0
+    return _worst(_power_gap(*_instantaneous_terms(iset, t_arr)))[0]
 
 
 def real_imaginary_power(u: LineSpectrum, i: LineSpectrum):
@@ -280,8 +214,9 @@ class ScaledQuantities:
     ``w_magnetic``, ``w_electric`` and ``p_dissipated`` are sums of squared
     analytic branch waveforms, so they are nonnegative everywhere.  ``p``
     and ``q`` are the real and imaginary parts of half the port voltage
-    times the conjugate port current.  The attached beat expansions make
-    the t- and s-derivatives of ``w_stored`` and ``x_reactive`` exact.
+    times the conjugate port current.  The exact t-derivative of
+    ``w_stored`` and s-derivative of ``x_reactive`` ride along privately,
+    with the line tables that produced them.
     """
 
     t: np.ndarray
@@ -293,7 +228,9 @@ class ScaledQuantities:
     p: np.ndarray
     q: np.ndarray
     p_dissipated: np.ndarray
-    _forms: dict = field(repr=False, compare=False, default_factory=dict)
+    _dw_dt: np.ndarray = field(repr=False, compare=False, default=None)
+    _dx_ds: np.ndarray = field(repr=False, compare=False, default=None)
+    _kernel: _GridKernel = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         for name in ("t", "s"):
@@ -320,34 +257,26 @@ def default_s_grid(source: LineSpectrum, n=32) -> np.ndarray:
 
 
 def scaled(sol: NetworkSolution, t_grid, s_grid) -> ScaledQuantities:
-    """Evaluate every scaled quantity on the outer product of the two grids."""
+    """Evaluate every scaled quantity on the outer product of the two grids.
+
+    With a' = da/dt, the exact derivatives are dW/dt = 2 sum c_b Re(a'_b conj a_b)
+    and dX/ds = -2 sum sigma_b c_b Im(a'_b conj a_b), since da/ds = j a'.
+    """
     t_arr = np.asarray(t_grid, dtype=float)
     s_arr = np.asarray(s_grid, dtype=float)
     if np.any(s_arr < 0.0):
         raise ValueError("scale grid must be >= 0")
-    shape = (t_arr.size, s_arr.size)
-    w_m = np.zeros(shape)
-    w_e = np.zeros(shape)
-    p_d = np.zeros(shape)
-    for b in sol.netlist.branches:
-        if b.kind == INDUCTOR:
-            mag2 = np.abs(sol.branch_current[b.id].analytic_grid(t_arr, s_arr)) ** 2
-            w_m += 0.25 * b.value * mag2
-        elif b.kind == CAPACITOR:
-            mag2 = np.abs(sol.branch_voltage[b.id].analytic_grid(t_arr, s_arr)) ** 2
-            w_e += 0.25 * b.value * mag2
-        else:
-            mag2 = np.abs(sol.branch_current[b.id].analytic_grid(t_arr, s_arr)) ** 2
-            p_d += 0.5 * b.value * mag2
-    u_a = sol.source.analytic_grid(t_arr, s_arr)
-    i_a = sol.port_current.analytic_grid(t_arr, s_arr)
+    lines = _LineAmplitudes(sol)
+    kernel = _GridKernel(lines, t_arr, s_arr)
+    a = kernel.analytic(lines.branch)
+    energy = lines.c[:, None, None] * np.abs(a) ** 2
+    w_m = energy[lines.sigma > 0.0].sum(axis=0)
+    w_e = energy[lines.sigma < 0.0].sum(axis=0)
+    store = kernel.store
+    a_dot = kernel.analytic(lines.branch[store], 1j * lines.omegas)
+    rate = lines.c[store, None, None] * a_dot * np.conj(a[store])
+    u_a, i_a = kernel.analytic(lines.port)
     s_complex = 0.5 * u_a * np.conj(i_a)
-
-    base = _beat_base(sol)
-    form_wm, form_we, form_pd = _stored_energy_forms(sol, base)
-    form_w = form_wm.copy().add_inplace(form_we)
-    form_x = form_wm.copy().add_inplace(form_we, -1.0)
-    form_power = _analytic_product(sol.source, sol.port_current, base).scaled(0.5)
     return ScaledQuantities(
         t=t_arr,
         s=s_arr,
@@ -357,33 +286,34 @@ def scaled(sol: NetworkSolution, t_grid, s_grid) -> ScaledQuantities:
         x_reactive=w_m - w_e,
         p=s_complex.real,
         q=s_complex.imag,
-        p_dissipated=p_d,
-        _forms={"w": form_w, "x": form_x, "power": form_power, "p_d": form_pd},
+        p_dissipated=energy[~store].sum(axis=0),
+        _dw_dt=2.0 * rate.real.sum(axis=0),
+        _dx_ds=-2.0 * (lines.sigma[store, None, None] * rate.imag).sum(axis=0),
+        _kernel=kernel,
     )
 
 
+def _reactive_gap(sq: ScaledQuantities) -> np.ndarray:
+    """|-dX/ds - Q| on the grid."""
+    return np.abs(-sq._dx_ds - sq.q)
+
+
 def active_balance(sq: ScaledQuantities) -> float:
-    """Max over the grid of |dW/dt - (P - P_d)|, with dW/dt exact per beat term."""
-    dw_dt = sq._forms["w"].partial_t().evaluate(sq.t, sq.s).real
-    gap = dw_dt - sq.p + sq.p_dissipated
-    return float(np.max(np.abs(gap))) if gap.size else 0.0
+    """Max over the grid of |dW/dt - (P - P_d)|, with dW/dt exact per line."""
+    return _worst(_power_gap(sq._dw_dt, sq.p, sq.p_dissipated))[0]
 
 
 def reactive_balance(sq: ScaledQuantities) -> float:
-    """Max over the grid of |-dX/ds - Q|, with dX/ds exact per beat term."""
-    dx_ds = sq._forms["x"].partial_s().evaluate(sq.t, sq.s).real
-    gap = -dx_ds - sq.q
-    return float(np.max(np.abs(gap))) if gap.size else 0.0
+    """Max over the grid of |-dX/ds - Q|, with dX/ds exact per line."""
+    return _worst(_reactive_gap(sq))[0]
 
 
 def d_dt_fd_gap(sq: ScaledQuantities, h) -> float:
     """Max gap between the exact t-derivative of W and a central difference."""
-    form = sq._forms["w"]
-    exact = form.partial_t().evaluate(sq.t, sq.s).real
-    fd = (
-        form.evaluate(sq.t + h, sq.s).real - form.evaluate(sq.t - h, sq.s).real
-    ) / (2.0 * h)
-    return float(np.max(np.abs(fd - exact))) if exact.size else 0.0
+    kernel, c = sq._kernel, sq._kernel.lines.c
+    shift = np.exp(1j * kernel.lines.omegas * h)
+    fd = (kernel.stored(c, shift) - kernel.stored(c, shift.conjugate())) / (2.0 * h)
+    return _worst(np.abs(fd - sq._dw_dt))[0]
 
 
 def d_ds_fd_gap(sq: ScaledQuantities, h) -> float:
@@ -393,15 +323,13 @@ def d_ds_fd_gap(sq: ScaledQuantities, h) -> float:
     the s >= 0 domain.
     """
     keep = sq.s >= h
-    if not np.any(keep):
-        return 0.0
-    s_arr = sq.s[keep]
-    form = sq._forms["x"]
-    exact = form.partial_s().evaluate(sq.t, s_arr).real
+    kernel, omegas = sq._kernel, sq._kernel.lines.omegas
+    x_c = kernel.lines.sigma * kernel.lines.c
     fd = (
-        form.evaluate(sq.t, s_arr + h).real - form.evaluate(sq.t, s_arr - h).real
+        kernel.stored(x_c, np.exp(-omegas * h), keep)
+        - kernel.stored(x_c, np.exp(omegas * h), keep)
     ) / (2.0 * h)
-    return float(np.max(np.abs(fd - exact)))
+    return _worst(np.abs(fd - sq._dx_ds[:, keep]))[0]
 
 
 # ----------------------------------------------------------------------
@@ -488,6 +416,12 @@ def classical_summary(sol: NetworkSolution) -> ClassicalSummary:
     )
 
 
+def _stored_energy_q(sol: NetworkSolution) -> np.ndarray:
+    """Reactive power 2*omega*(W_m - W_e) of each line, from the branch phasors."""
+    lines = _LineAmplitudes(sol)
+    return 2.0 * lines.omegas * lines.reactive_energy()
+
+
 def budeanu(sol: NetworkSolution) -> float:
     """Budeanu reactive total, computed twice and cross-checked.
 
@@ -501,17 +435,7 @@ def budeanu(sol: NetworkSolution) -> float:
     _, q_wave = real_imaginary_power(sol.source, sol.port_current)
     q_port = q_wave.mean()
 
-    q_interior = 0.0
-    for ph in sol.per_line:
-        if ph.omega == 0.0:
-            continue
-        x_line = 0.0
-        for b in sol.netlist.branches:
-            if b.kind == INDUCTOR:
-                x_line += 0.25 * b.value * abs(ph.current[b.id]) ** 2
-            elif b.kind == CAPACITOR:
-                x_line -= 0.25 * b.value * abs(ph.voltage[b.id]) ** 2
-        q_interior += 2.0 * ph.omega * x_line
+    q_interior = float(np.sum(_stored_energy_q(sol)))
 
     s_app = sol.source.rms() * sol.port_current.rms()
     tol = CROSS_CHECK_RTOL * max(abs(q_port), abs(q_interior), _REACTIVE_FLOOR * s_app)
@@ -538,14 +462,7 @@ def q_from_stored_energy(sol: NetworkSolution, omega) -> float:
             f"source line at {lines[0].omega!r} rad/s, not at {omega!r} rad/s"
         )
     ph = sol.per_line[0]
-    w_m = 0.0
-    w_e = 0.0
-    for b in sol.netlist.branches:
-        if b.kind == INDUCTOR:
-            w_m += 0.25 * b.value * abs(ph.current[b.id]) ** 2
-        elif b.kind == CAPACITOR:
-            w_e += 0.25 * b.value * abs(ph.voltage[b.id]) ** 2
-    q_energy = 2.0 * ph.omega * (w_m - w_e)
+    q_energy = float(_stored_energy_q(sol)[0])
     q_phasor = (0.5 * ph.port_voltage * ph.port_current.conjugate()).imag
     scale = max(abs(q_phasor), abs(ph.port_voltage) * abs(ph.port_current) * 0.5)
     if abs(q_energy - q_phasor) > 1e-10 * max(scale, 1e-300):
@@ -558,20 +475,20 @@ def q_from_stored_energy(sol: NetworkSolution, omega) -> float:
 def scaled_time_means(sol: NetworkSolution, s_grid):
     """Time-averaged reactive energy and reactive power as functions of s.
 
-    Both come from the beat expansions, so each is an exact finite sum of
-    decaying exponentials in s.  The averages obey the scale-domain
-    balance: the reactive power equals minus the s-derivative of the
-    reactive energy.
+    Distinct lines average out against each other over a common period,
+    so each mean is the diagonal sum over lines of |A_k|^2 e^{-2 w_k s}
+    terms: an exact finite sum of decaying exponentials in s.  The
+    averages obey the scale-domain balance: the reactive power equals
+    minus the s-derivative of the reactive energy.
     """
     s_arr = np.asarray(s_grid, dtype=float)
     if np.any(s_arr < 0.0):
         raise ValueError("scale grid must be >= 0")
-    base = _beat_base(sol)
-    form_wm, form_we, _ = _stored_energy_forms(sol, base)
-    form_x = form_wm.copy().add_inplace(form_we, -1.0)
-    form_power = _analytic_product(sol.source, sol.port_current, base).scaled(0.5)
-    mean_x = form_x.mean_at(s_arr).real
-    mean_q = form_power.mean_at(s_arr).imag
+    lines = _LineAmplitudes(sol)
+    decay = np.exp(-2.0 * np.multiply.outer(lines.omegas, s_arr))
+    u, i = lines.port
+    mean_x = lines.reactive_energy() @ decay
+    mean_q = (0.5 * u * np.conj(i)).imag @ decay
     return mean_x, mean_q
 
 
@@ -659,23 +576,14 @@ def verify_balances(sol: NetworkSolution, t_grid=None, s_grid=None) -> BalanceRe
     t_arr = default_t_grid(sol.source) if t_grid is None else np.asarray(t_grid, float)
     s_arr = default_s_grid(sol.source) if s_grid is None else np.asarray(s_grid, float)
 
-    iset = instantaneous(sol)
-    dw_dt = iset.w_stored.derivative().evaluate(t_arr)
-    p_t = iset.p.evaluate(t_arr)
-    pd_t = iset.p_dissipated.evaluate(t_arr)
-    inst_gap = np.abs(dw_dt - p_t + pd_t)
-    inst_idx = int(np.argmax(inst_gap)) if inst_gap.size else 0
-    inst_scale = max(
-        float(np.max(np.abs(p_t), initial=0.0)),
-        float(np.max(np.abs(pd_t), initial=0.0)),
-        float(np.max(np.abs(dw_dt), initial=0.0)),
-    )
+    inst_terms = _instantaneous_terms(instantaneous(sol), t_arr)
+    inst_res, (inst_t,) = _worst(_power_gap(*inst_terms), t_arr)
 
     sq = scaled(sol, t_arr, s_arr)
-    dw_dt_grid = sq._forms["w"].partial_t().evaluate(t_arr, s_arr).real
-    act_gap = np.abs(dw_dt_grid - sq.p + sq.p_dissipated)
-    act_flat = int(np.argmax(act_gap)) if act_gap.size else 0
-    act_it, act_is = np.unravel_index(act_flat, act_gap.shape) if act_gap.size else (0, 0)
+    act_res, (act_t, act_s) = _worst(
+        _power_gap(sq._dw_dt, sq.p, sq.p_dissipated), t_arr, s_arr
+    )
+    rea_res, (rea_t, rea_s) = _worst(_reactive_gap(sq), t_arr, s_arr)
     # P and Q are the real and imaginary parts of the half voltage-current
     # product, so the natural magnitude of either is that whole product.
     # Degenerate loads zero one law's terms exactly (a lossless load makes
@@ -683,35 +591,24 @@ def verify_balances(sol: NetworkSolution, t_grid=None, s_grid=None) -> BalanceRe
     # reactive law); judged only against themselves those residuals are
     # noise over noise, judged against the power magnitude they stay
     # clean identities.
-    pq_mag = float(np.max(np.hypot(sq.p, sq.q), initial=0.0))
-    act_scale = max(
-        pq_mag,
-        float(np.max(np.abs(sq.p_dissipated), initial=0.0)),
-        float(np.max(np.abs(dw_dt_grid), initial=0.0)),
-    )
-
-    dx_ds_grid = sq._forms["x"].partial_s().evaluate(t_arr, s_arr).real
-    rea_gap = np.abs(-dx_ds_grid - sq.q)
-    rea_flat = int(np.argmax(rea_gap)) if rea_gap.size else 0
-    rea_it, rea_is = np.unravel_index(rea_flat, rea_gap.shape) if rea_gap.size else (0, 0)
-    rea_scale = max(pq_mag, float(np.max(np.abs(dx_ds_grid), initial=0.0)))
+    pq_mag = _peak(np.hypot(sq.p, sq.q))
 
     period = sol.source.period
     h_t = 1e-4 * (period if period is not None else 1.0)
     s_top = float(s_arr.max()) if s_arr.size else 1.0
     h_s = 1e-4 * max(s_top, 1e-6)
     return BalanceReport(
-        instantaneous_residual=float(inst_gap.max()) if inst_gap.size else 0.0,
-        instantaneous_scale=inst_scale,
-        active_residual=float(act_gap.max()) if act_gap.size else 0.0,
-        active_scale=act_scale,
-        reactive_residual=float(rea_gap.max()) if rea_gap.size else 0.0,
-        reactive_scale=rea_scale,
-        worst_instantaneous_t=float(t_arr[inst_idx]) if t_arr.size else 0.0,
-        worst_active_t=float(t_arr[act_it]) if act_gap.size else 0.0,
-        worst_active_s=float(s_arr[act_is]) if act_gap.size else 0.0,
-        worst_reactive_t=float(t_arr[rea_it]) if rea_gap.size else 0.0,
-        worst_reactive_s=float(s_arr[rea_is]) if rea_gap.size else 0.0,
+        instantaneous_residual=inst_res,
+        instantaneous_scale=_peak(*inst_terms),
+        active_residual=act_res,
+        active_scale=max(pq_mag, _peak(sq.p_dissipated, sq._dw_dt)),
+        reactive_residual=rea_res,
+        reactive_scale=max(pq_mag, _peak(sq._dx_ds)),
+        worst_instantaneous_t=inst_t,
+        worst_active_t=act_t,
+        worst_active_s=act_s,
+        worst_reactive_t=rea_t,
+        worst_reactive_s=rea_s,
         d_dt_fd_gap=d_dt_fd_gap(sq, h_t),
         d_ds_fd_gap=d_ds_fd_gap(sq, h_s),
         n_t=int(t_arr.size),

@@ -166,6 +166,40 @@ def test_singular_at_dc_names_frequency():
     assert ph.port_current == pytest.approx(1j, rel=1e-14)
 
 
+def test_idle_inductor_is_not_reported_singular():
+    # l and r2 hang off the port with nothing behind them, so they carry no
+    # current and the voltage across l is pure round-off
+    net = Netlist(
+        (
+            Branch("r", RESISTOR, 2.0, ("p", "0")),
+            Branch("l", INDUCTOR, 1.0, ("p", "x")),
+            Branch("r2", RESISTOR, 1.3, ("x", "y")),
+        ),
+        ("p", "0"),
+    )
+    sol = solve(net, LineSpectrum.tone(2.5, 0.1, VOLT))
+    ph = sol.per_line[0]
+    assert ph.port_current == pytest.approx(0.05, rel=1e-14)
+    assert abs(ph.current["l"]) <= 1e-15 and abs(ph.voltage["l"]) <= 1e-15
+
+
+def test_idle_inductor_at_dc_is_not_reported_singular():
+    # at DC l shorts r2, and the pair leads nowhere: both carry round-off only
+    net = Netlist(
+        (
+            Branch("l", INDUCTOR, 0.01, ("n1", "n0")),
+            Branch("r1", RESISTOR, 0.04, ("n0", "port")),
+            Branch("r", RESISTOR, 0.05, ("port", "gnd")),
+            Branch("r2", RESISTOR, 1.3, ("n0", "n1")),
+        ),
+        ("port", "gnd"),
+    )
+    ph = solve(net, LineSpectrum.dc(1.0, VOLT)).per_line[0]
+    assert ph.port_current == pytest.approx(20.0, rel=1e-14)
+    for bid in ("l", "r1", "r2"):
+        assert abs(ph.current[bid]) <= 1e-13 and abs(ph.voltage[bid]) <= 1e-13
+
+
 def test_driving_point_admittance_examples():
     r_only = Netlist((Branch("r", RESISTOR, 10.0, ("p", "0")),), ("p", "0"))
     for w in (0.0, 1.0, 7.5):

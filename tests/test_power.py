@@ -270,6 +270,79 @@ def test_verify_balances_report(flicker_solution):
 
 
 # ----------------------------------------------------------------------
+# DC lines on the (t, s) grid: the DC line keeps its full weight
+
+
+def rlc_net():
+    """2 ohm + 0.5 H in series, 0.25 F across the port."""
+    return Netlist(
+        (
+            Branch("r1", RESISTOR, 2.0, ("p", "m")),
+            Branch("l1", INDUCTOR, 0.5, ("m", "0")),
+            Branch("c1", CAPACITOR, 0.25, ("p", "0")),
+        ),
+        ("p", "0"),
+    )
+
+
+def test_zero_source_on_the_scaled_grid():
+    sol = solve(rlc_net(), LineSpectrum.zero(VOLT))
+    s = np.array([0.0, 0.5, 3.0])
+    sq = scaled(sol, np.linspace(0.0, 2.0, 5), s)
+    for arr in (sq.w_magnetic, sq.w_electric, sq.x_reactive, sq.p, sq.q, sq.p_dissipated):
+        assert arr.shape == (5, 3) and not np.any(arr)
+    assert active_balance(sq) == 0.0 and reactive_balance(sq) == 0.0
+    report = verify_balances(sol)
+    assert report.instantaneous_residual == 0.0
+    assert report.active_residual == 0.0 and report.reactive_residual == 0.0
+    assert report.d_dt_fd_gap == 0.0 and report.d_ds_fd_gap == 0.0
+    mean_x, mean_q = scaled_time_means(sol, s)
+    assert not np.any(mean_x) and not np.any(mean_q)
+
+
+def test_dc_only_source_on_the_scaled_grid():
+    sol = solve(rlc_net(), LineSpectrum.dc(3.0, VOLT))
+    i0 = sol.per_line[0].current["l1"].real
+    assert i0 == pytest.approx(1.5, rel=1e-15)
+    s = np.array([0.0, 0.1, 10.0])
+    sq = scaled(sol, np.linspace(0.0, 5.0, 7), s)
+    assert np.all(sq.w_magnetic == 0.25 * 0.5 * i0**2)
+    assert np.all(sq.w_electric == 0.25 * 0.25 * 3.0**2)
+    assert np.allclose(sq.p, 0.5 * 3.0 * i0, rtol=1e-15, atol=0.0)
+    assert not np.any(sq.q)
+    mean_x, mean_q = scaled_time_means(sol, s)
+    assert np.all(mean_x == mean_x[0])
+    assert mean_x[0] == pytest.approx(0.25 * 0.5 * i0**2 - 0.25 * 0.25 * 9.0, rel=1e-15)
+    assert not np.any(mean_q)
+    report = verify_balances(sol)
+    assert report.instantaneous_residual == 0.0
+    assert report.active_residual == 0.0 and report.reactive_residual == 0.0
+    assert report.d_dt_fd_gap == 0.0 and report.d_ds_fd_gap == 0.0
+
+
+def test_dc_plus_tone_on_the_scaled_grid():
+    omega = 2.0
+    sol = solve(rlc_net(), LineSpectrum.from_lines([(0.0, 3.0), (omega, 1.5 - 0.5j)], VOLT))
+    dc_only = solve(rlc_net(), LineSpectrum.dc(3.0, VOLT))
+    report = verify_balances(sol)
+    assert report.instantaneous_relative < 1e-14
+    assert report.active_relative < 1e-14 and report.reactive_relative < 1e-14
+    # far along the scale axis only the undamped DC line is left
+    t = np.linspace(0.0, 3.0, 7)
+    far, still = scaled(sol, t, np.array([200.0])), scaled(dc_only, t, np.array([200.0]))
+    for name in ("w_magnetic", "w_electric", "p", "q", "p_dissipated"):
+        assert np.allclose(getattr(far, name), getattr(still, name), rtol=1e-14, atol=1e-150)
+    s = np.array([0.0, 0.3, 200.0])
+    mean_x, mean_q = scaled_time_means(sol, s)
+    mean_x_dc, _ = scaled_time_means(dc_only, s)
+    assert mean_q[0] == pytest.approx(budeanu(sol), rel=1e-13)
+    assert mean_x[2] == pytest.approx(mean_x_dc[2], rel=1e-14)
+    # one tone: mean X = X_dc + X_1 e^{-2 omega s}, so -dX/ds = 2 omega X_1 e^{-2 omega s}
+    x_tone = mean_x[:2] - mean_x_dc[:2]
+    assert mean_q[:2] == pytest.approx(2.0 * omega * x_tone, rel=1e-12)
+
+
+# ----------------------------------------------------------------------
 # classical summary / Budeanu
 
 
