@@ -244,12 +244,16 @@ def _branch_quantities(system, b, omega, volts, currents_col):
     return v, i
 
 
-def _self_check(system, phasors):
+def _self_check(system, phasors, kcl_scale):
     """KCL at every non-ground node and V = Z*I per branch, both to 1e-10.
 
-    Each gap is judged against the largest magnitude of its unit anywhere
-    in the solution, so a branch that carries no current is held to the
-    round-off of the whole network, not to its own zero.
+    The current sums are judged against ``kcl_scale``, the largest node
+    row of |A|*|x| for the nodal matrix A and solution x: the magnitudes
+    the solve added up there.  A line that drives no current anywhere
+    leaves only round-off currents, so the currents alone are no scale.
+    Each branch-law gap is judged against the largest magnitude of its
+    unit anywhere in the solution, so a branch that carries no current
+    is held to the round-off of the whole network, not to its own zero.
     """
     net = system.net
     flows = {n: 0.0 + 0.0j for n in system.node_index}
@@ -270,7 +274,7 @@ def _self_check(system, phasors):
             flows[nb] -= i
     flows[net.port[0]] -= phasors.port_current
     worst = max((abs(v) for v in flows.values()), default=0.0)
-    if worst > _LAW_RTOL * max(amp_scale, 1e-300):
+    if worst > _LAW_RTOL * max(kcl_scale, 1e-300):
         raise SingularNetworkError(phasors.omega, "current-law self-check failed")
     for b in net.branches:
         v = phasors.voltage[b.id]
@@ -327,7 +331,7 @@ def solve_frequency(net: Netlist, omega, v_port) -> BranchPhasors:
         voltage=voltage,
         current=current,
     )
-    _self_check(system, phasors)
+    _self_check(system, phasors, float(np.max(np.abs(a[:system.n_nodes]) @ np.abs(x))))
     return phasors
 
 

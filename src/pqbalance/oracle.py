@@ -24,6 +24,12 @@ from .spectrum import VOLT, ComplexTimePoint, LineSpectrum, SampledSignal
 # Relative drift between the last two integrated periods above which the
 # settled waveform is considered still transient.
 DRIFT_RTOL = 1e-6
+# Steps per block of the block-state-space recursion: each block's forced
+# response is one product with a Toeplitz matrix of this order.
+_BLOCK = 256
+# Blocks per chunk of source samples evaluated at once; bounds the
+# (samples x lines) temporaries of LineSpectrum.evaluate.
+_CHUNK_BLOCKS = 64
 
 
 class TransientWarning(UserWarning):
@@ -150,6 +156,60 @@ def _factored(mat, rate):
     return solve_with
 
 
+def _block_stepper(step, drive, out):
+    """Block-state-space form of z_n = step @ z_{n-1} + drive * u_n.
+
+    Over a block of K = _BLOCK steps from state z, the outputs
+    y_{n+k} = z_{n+k}[out] are free @ z + toeplitz @ u_blk, where row k of
+    `free` is row `out` of step^(k+1) and `toeplitz` is lower triangular
+    in the Markov parameters h_j = (step^j drive)[out]; the state after
+    the block is step^K z + control @ u_blk, with column j of `control`
+    equal to step^(K-1-j) drive (Burrus, "Block implementation of digital
+    filters", IEEE Trans. Circuit Theory, 1971).  Returns a function
+    mapping (z, u) to the outputs at the len(u) steps driven by u and the
+    state after them.
+
+    The powers are formed in np.longdouble and rounded once.  Formed in
+    float64, step^K would carry about K roundings along a slowly decaying
+    mode, and every hop would apply that same error again, so it would
+    grow with the hop count.  Where longdouble is float64 the operators
+    are still right, to that lesser accuracy.
+    """
+    size = step.shape[0]
+    wide = step.astype(np.longdouble)
+    free = np.empty((_BLOCK, size), dtype=np.longdouble)
+    pushed = np.empty((size, _BLOCK), dtype=np.longdouble)
+    row = np.zeros(size, dtype=np.longdouble)
+    row[out] = 1.0
+    col = drive.astype(np.longdouble)
+    for k in range(_BLOCK):
+        pushed[:, k] = col
+        col = wide @ col
+        row = row @ wide
+        free[k] = row
+    free, pushed = free.astype(float), pushed.astype(float)
+    toeplitz = linalg.toeplitz(pushed[out], np.zeros(_BLOCK))
+    control = pushed[:, ::-1]
+    hop = np.linalg.matrix_power(wide, _BLOCK).astype(float)
+
+    def advance(z, u):
+        full, rest = divmod(u.size, _BLOCK)
+        blocks = u[:full * _BLOCK].reshape(full, _BLOCK)
+        starts = np.empty((full, size))
+        for b, kick in enumerate(blocks @ control.T):
+            starts[b] = z
+            z = hop @ z + kick
+        y = np.empty(u.size)
+        y[:full * _BLOCK] = (starts @ free.T + blocks @ toeplitz.T).ravel()
+        if rest:
+            tail = u[full * _BLOCK:]
+            y[full * _BLOCK:] = free[:rest] @ z + toeplitz[:rest, :rest] @ tail
+            z = np.linalg.matrix_power(wide, rest).astype(float) @ z + control[:, -rest:] @ tail
+        return y, z
+
+    return advance
+
+
 def ode_transient(net: Netlist, source: LineSpectrum, periods=50, steps_per_period=4096):
     """Integrate the network from rest; return the full port current and final state.
 
@@ -160,11 +220,19 @@ def ode_transient(net: Netlist, source: LineSpectrum, periods=50, steps_per_peri
     otherwise ring at the Nyquist rate or grow without bound (a capacitor
     directly across the port is the worst case).  Second-order accuracy
     is kept for the physical modes.  The step maps are affine with
-    constant matrices, factored once and iterated.  The returned signal
-    starts at t = 0 and has periods*steps_per_period + 1 samples.
+    constant matrices, factored once.  The two-step recursion is run as
+    a one-step map on the stacked state [x_n; x_{n-1}] in the
+    block-state-space form of Burrus (IEEE Trans. Circuit Theory, 1971):
+    each block of 256 steps is a few matrix products, and only the
+    hop from one block's start state to the next is sequential.  The
+    returned signal starts at t = 0 and has periods*steps_per_period + 1
+    samples.
     """
     if source.unit != VOLT:
         raise ValueError(f"source must be tagged {VOLT!r}, got {source.unit!r}")
+    for name, count in (("periods", periods), ("steps_per_period", steps_per_period)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if periods < 10:
         raise ValueError(f"need at least 10 periods of settling, got {periods!r}")
     if steps_per_period < 2:
@@ -187,8 +255,9 @@ def ode_transient(net: Netlist, source: LineSpectrum, periods=50, steps_per_peri
         period = 2.0 * math.pi  # constant source, any settling window works
     dt = period / steps_per_period
     g, c, node_at, ind_at, src = _time_domain_matrices(net)
+    size = g.shape[0]
 
-    rhs_vec = np.zeros(g.shape[0])
+    rhs_vec = np.zeros(size)
     rhs_vec[src] = 1.0
     start = _factored(g + c / dt, 1.0 / dt)
     main = _factored(g + (1.5 / dt) * c, 1.5 / dt)
@@ -196,18 +265,23 @@ def ode_transient(net: Netlist, source: LineSpectrum, periods=50, steps_per_peri
     two_back = main((2.0 / dt) * c)
     one_back = main((-0.5 / dt) * c)
     drive = main(rhs_vec)
+    advance = _block_stepper(
+        np.block([[two_back, one_back], [np.eye(size), np.zeros((size, size))]]),
+        np.concatenate([drive, np.zeros(size)]),
+        src,
+    )
 
     n_steps = periods * steps_per_period
-    times = dt * np.arange(n_steps + 1)
-    u = source.evaluate(times)
-    x_prev = np.zeros(g.shape[0])
-    x = start_drive * u[1]
+    x = start_drive * source.evaluate(dt)
     port = np.empty(n_steps + 1)
     port[0] = 0.0
     port[1] = x[src]
-    for n in range(2, n_steps + 1):
-        x, x_prev = two_back @ x + one_back @ x_prev + drive * u[n], x
-        port[n] = x[src]
+    z = np.concatenate([x, np.zeros(size)])
+    chunk = _CHUNK_BLOCKS * _BLOCK
+    for lo in range(2, n_steps + 1, chunk):
+        hi = min(lo + chunk, n_steps + 1)
+        port[lo:hi], z = advance(z, source.evaluate(dt * np.arange(lo, hi)))
+    x = z[:size]
 
     def volt_of(name):
         return x[node_at[name]] if name in node_at else 0.0
@@ -218,7 +292,7 @@ def ode_transient(net: Netlist, source: LineSpectrum, periods=50, steps_per_peri
             b.id: float(volt_of(b.nodes[0]) - volt_of(b.nodes[1]))
             for b in net.by_kind(CAPACITOR)
         },
-        time=float(times[-1]),
+        time=float(dt * n_steps),
     )
     return SampledSignal(0.0, dt, port), state
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pqbalance import network
 from pqbalance.network import (
     Branch,
     CAPACITOR,
@@ -198,6 +199,48 @@ def test_idle_inductor_at_dc_is_not_reported_singular():
     assert ph.port_current == pytest.approx(20.0, rel=1e-14)
     for bid in ("l", "r1", "r2"):
         assert abs(ph.current[bid]) <= 1e-13 and abs(ph.voltage[bid]) <= 1e-13
+
+
+def test_current_free_line_is_not_reported_singular():
+    # at DC the capacitor blocks the only path to ground, so no branch
+    # carries current and every current the solve returns is round-off
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        r1, r2, c, l = 10.0 ** rng.uniform(-2.0, 2.0, size=4)
+        net = Netlist(
+            (
+                Branch("r1", RESISTOR, r1, ("p", "n0")),
+                Branch("r2", RESISTOR, r2, ("n0", "n1")),
+                Branch("c", CAPACITOR, c, ("n1", "n2")),
+                Branch("l", INDUCTOR, l, ("n2", "0")),
+            ),
+            ("p", "0"),
+        )
+        ph = solve_frequency(net, 0.0, 1.0)
+        assert abs(ph.port_current) <= 1e-12
+        assert ph.voltage["c"] == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("bid", ["r1", "l1", "c1"])
+def test_current_law_check_catches_a_perturbed_current(monkeypatch, bid):
+    exact = network._branch_quantities
+
+    def perturbed(system, b, omega, volts, currents_col):
+        v, i = exact(system, b, omega, volts, currents_col)
+        return v, i * (1.0 + 1e-8) if b.id == bid else i
+
+    net = Netlist(
+        (
+            Branch("r1", RESISTOR, 1.0, ("p", "a")),
+            Branch("l1", INDUCTOR, 0.5, ("a", "0")),
+            Branch("c1", CAPACITOR, 0.3, ("a", "0")),
+        ),
+        ("p", "0"),
+    )
+    solve_frequency(net, 1.0, 1.0)
+    monkeypatch.setattr(network, "_branch_quantities", perturbed)
+    with pytest.raises(SingularNetworkError, match="current-law self-check failed"):
+        solve_frequency(net, 1.0, 1.0)
 
 
 def test_driving_point_admittance_examples():

@@ -6,8 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
-from pqbalance.network import Branch, INDUCTOR, Netlist, RESISTOR, solve
+from pqbalance.network import (
+    Branch,
+    CAPACITOR,
+    INDUCTOR,
+    Netlist,
+    RESISTOR,
+    SingularNetworkError,
+    solve,
+)
 from pqbalance.oracle import (
+    OdeState,
     QuadratureConfig,
     TransientWarning,
     fft_hilbert,
@@ -17,7 +26,10 @@ from pqbalance.oracle import (
     quadrature_analytic,
     quadrature_tail_bound,
 )
+from pqbalance.oracle import _factored, _time_domain_matrices
 from pqbalance.spectrum import AMPERE, VOLT, ComplexTimePoint, LineSpectrum
+
+from conftest import random_netlist, random_source
 
 ROOT2 = math.sqrt(2.0)
 
@@ -106,6 +118,141 @@ def test_final_state_is_consistent():
     assert state.time == pytest.approx(sig.times[-1])
     steady = solve(net, source).port_current.evaluate(state.time)
     assert state.inductor_currents["l1"] == pytest.approx(steady, abs=2e-4)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"periods": 12.5}, "periods"),
+    ({"periods": True}, "periods"),
+    ({"periods": 12.0}, "periods"),
+    ({"steps_per_period": 100.5}, "steps_per_period"),
+    ({"steps_per_period": True}, "steps_per_period"),
+    ({"steps_per_period": "64"}, "steps_per_period"),
+])
+def test_ode_rejects_non_integer_counts(flicker_netlist, kwargs, name):
+    u = LineSpectrum.tone(1.0, 1.0, VOLT)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        ode_transient(flicker_netlist, u, **kwargs)
+
+
+def test_ode_accepts_numpy_integer_counts(flicker_netlist):
+    u = LineSpectrum.tone(1.0, 1.0, VOLT)
+    sig, _ = ode_transient(flicker_netlist, u, periods=np.int64(10),
+                           steps_per_period=np.int32(16))
+    assert len(sig) == 161
+
+
+# ----------------------------------------------------------------------
+# block stepping against the per-step recursion
+
+
+def loop_transient(net, source, periods, steps_per_period):
+    """Reference: the BDF2 recursion stepped one sample at a time."""
+    period = source.period if source.period is not None else 2.0 * math.pi
+    dt = period / steps_per_period
+    g, c, node_at, ind_at, src = _time_domain_matrices(net)
+    rhs_vec = np.zeros(g.shape[0])
+    rhs_vec[src] = 1.0
+    start = _factored(g + c / dt, 1.0 / dt)
+    main = _factored(g + (1.5 / dt) * c, 1.5 / dt)
+    start_drive = start(rhs_vec)
+    two_back = main((2.0 / dt) * c)
+    one_back = main((-0.5 / dt) * c)
+    drive = main(rhs_vec)
+
+    n_steps = periods * steps_per_period
+    times = dt * np.arange(n_steps + 1)
+    u = source.evaluate(times)
+    x_prev = np.zeros(g.shape[0])
+    x = start_drive * u[1]
+    port = np.empty(n_steps + 1)
+    port[0] = 0.0
+    port[1] = x[src]
+    for n in range(2, n_steps + 1):
+        x, x_prev = two_back @ x + one_back @ x_prev + drive * u[n], x
+        port[n] = x[src]
+
+    def volt_of(name):
+        return x[node_at[name]] if name in node_at else 0.0
+
+    state = OdeState(
+        inductor_currents={bid: float(x[k]) for bid, k in ind_at.items()},
+        capacitor_voltages={
+            b.id: float(volt_of(b.nodes[0]) - volt_of(b.nodes[1]))
+            for b in net.by_kind(CAPACITOR)
+        },
+        time=float(times[-1]),
+    )
+    return port, state
+
+
+def assert_block_matches_loop(net, source, periods, steps_per_period):
+    """Port samples and final state within 1e-12 of their own scales."""
+    sig, state = ode_transient(net, source, periods, steps_per_period)
+    want, want_state = loop_transient(net, source, periods, steps_per_period)
+    assert sig.samples.shape == want.shape
+    amps = max(np.max(np.abs(want)),
+               max(map(abs, want_state.inductor_currents.values()), default=0.0))
+    volts = np.max(np.abs(source.evaluate(sig.times)))
+    assert np.max(np.abs(sig.samples - want)) <= 1e-12 * amps
+    assert state.time == want_state.time
+    assert state.inductor_currents.keys() == want_state.inductor_currents.keys()
+    for bid, i in want_state.inductor_currents.items():
+        assert abs(state.inductor_currents[bid] - i) <= 1e-12 * amps
+    assert state.capacitor_voltages.keys() == want_state.capacitor_voltages.keys()
+    for bid, v in want_state.capacitor_voltages.items():
+        assert abs(state.capacitor_voltages[bid] - v) <= 1e-12 * volts
+
+
+def test_block_stepping_matches_loop_on_random_nets():
+    # drawn as the acceptance suite's dissipative oracle cases; 12 x 1500
+    # steps span two source chunks and end in a partial block
+    rng = np.random.default_rng(57721566)
+    checked = 0
+    while checked < 20:
+        net = random_netlist(rng, require_resistor=True)
+        source = random_source(rng)
+        try:
+            solve(net, source)
+        except SingularNetworkError:
+            continue
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ode_transient(net, source, 12, 1500)
+        if any(issubclass(w.category, TransientWarning) for w in caught):
+            continue  # not dissipative; the acceptance cases skip it too
+        assert_block_matches_loop(net, source, 12, 1500)
+        checked += 1
+
+
+def capacitor_across_port():
+    return Netlist(
+        (
+            Branch("c0", CAPACITOR, 0.2, ("p", "0")),
+            Branch("r1", RESISTOR, 0.5, ("p", "m")),
+            Branch("l1", INDUCTOR, 2.0, ("m", "0")),
+        ),
+        ("p", "0"),
+    )
+
+
+@pytest.mark.parametrize("steps_per_period", [2, 37, 256, 1000])
+@pytest.mark.parametrize("net, source", [
+    (capacitor_across_port(), LineSpectrum.from_lines([(1.0, 2.0), (3.0, 0.5j)], VOLT)),
+    (series_rl(r=2.0), LineSpectrum.dc(5.0, VOLT)),
+], ids=["capacitor-across-port", "dc-only"])
+def test_block_stepping_matches_loop(net, source, steps_per_period):
+    assert_block_matches_loop(net, source, 10, steps_per_period)
+
+
+def test_block_stepping_matches_loop_on_warning_paths():
+    lossless = Netlist((Branch("l", INDUCTOR, 1.0, ("p", "0")),), ("p", "0"))
+    with pytest.warns(TransientWarning, match="no resistive branch"):
+        assert_block_matches_loop(lossless, LineSpectrum.tone(1.0, 1.0, VOLT), 10, 64)
+    underdamped = series_rl(r=1e-6, l=1.0)
+    source = LineSpectrum.tone(1.0, 1.0j, VOLT)
+    with pytest.warns(TransientWarning, match="drifting"):
+        ode_steady_state(underdamped, source, periods=10, steps_per_period=256)
+    assert_block_matches_loop(underdamped, source, 10, 256)
 
 
 # ----------------------------------------------------------------------
