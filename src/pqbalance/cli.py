@@ -24,6 +24,8 @@ import numpy as np
 from .network import Netlist, SingularNetworkError, solve
 from .power import (
     ConsistencyError,
+    _balance_report,
+    _budeanu,
     budeanu,
     classical_summary,
     default_s_grid,
@@ -231,10 +233,12 @@ def run_analyze(cfg: AnalysisConfig, out_dir) -> int:
     t_arr = cfg.time_grid()
     s_arr = cfg.scale_grid()
     out = Path(out_dir)
+    # both output sets need all three; build them once
+    iset = instantaneous(sol)
+    p_real, q_imag = real_imaginary_power(sol.source, sol.port_current)
+    sq = scaled(sol, t_arr, s_arr)
 
     if "csv" in cfg.formats:
-        iset = instantaneous(sol)
-        p_real, q_imag = real_imaginary_power(sol.source, sol.port_current)
         _write_csv(
             out / "instantaneous.csv",
             ["t", "p", "p_d", "w_m", "w_e", "w", "x", "P_t", "Q_t"],
@@ -250,7 +254,6 @@ def run_analyze(cfg: AnalysisConfig, out_dir) -> int:
                 q_imag.evaluate(t_arr),
             ],
         )
-        sq = scaled(sol, t_arr, s_arr)
         for k, s_val in enumerate(s_arr):
             _write_csv(
                 out / f"scaled_s{format(float(s_val), '.6g')}.csv",
@@ -269,8 +272,8 @@ def run_analyze(cfg: AnalysisConfig, out_dir) -> int:
 
     if "json" in cfg.formats:
         summary = classical_summary(sol)
-        budeanu(sol)  # runs the two-route cross-check
-        report = verify_balances(sol, t_arr, s_arr)
+        _budeanu(sol, q_imag)  # runs the two-route cross-check
+        report = _balance_report(sol, iset, sq)
         doc = summary.to_dict()
         doc["character"] = _character(summary.q_budeanu, summary.s_apparent)
         doc["residual_maxima"] = {

@@ -433,6 +433,11 @@ def budeanu(sol: NetworkSolution) -> float:
     and must agree to CROSS_CHECK_RTOL.
     """
     _, q_wave = real_imaginary_power(sol.source, sol.port_current)
+    return _budeanu(sol, q_wave)
+
+
+def _budeanu(sol: NetworkSolution, q_wave: LineSpectrum) -> float:
+    """``budeanu`` given the imaginary-power waveform of the solution's port."""
     q_port = q_wave.mean()
 
     q_interior = float(np.sum(_stored_energy_q(sol)))
@@ -575,11 +580,16 @@ def verify_balances(sol: NetworkSolution, t_grid=None, s_grid=None) -> BalanceRe
     """Evaluate all three balance laws and package residuals with context."""
     t_arr = default_t_grid(sol.source) if t_grid is None else np.asarray(t_grid, float)
     s_arr = default_s_grid(sol.source) if s_grid is None else np.asarray(s_grid, float)
+    return _balance_report(sol, instantaneous(sol), scaled(sol, t_arr, s_arr))
 
-    inst_terms = _instantaneous_terms(instantaneous(sol), t_arr)
+
+def _balance_report(sol: NetworkSolution, iset: InstantaneousSet,
+                    sq: ScaledQuantities) -> BalanceReport:
+    """``verify_balances`` from the solution's instantaneous and scaled sets."""
+    t_arr, s_arr = sq.t, sq.s
+    inst_terms = _instantaneous_terms(iset, t_arr)
     inst_res, (inst_t,) = _worst(_power_gap(*inst_terms), t_arr)
 
-    sq = scaled(sol, t_arr, s_arr)
     act_res, (act_t, act_s) = _worst(
         _power_gap(sq._dw_dt, sq.p, sq.p_dissipated), t_arr, s_arr
     )

@@ -10,6 +10,16 @@ frequency ``omega0`` (within 1e-9 relative), which turns products, periodic
 means, time derivatives and the analytic continuation of the signal into
 exact line-level operations instead of discretized ones.
 
+The lattice is searched for once, when a spectrum is built from user
+frequencies: a rational-ratio search finds ``omega0`` and each line's
+integer index ``n_k``.  Every operator then carries ``(omega0, n_k)`` to
+its result instead of searching again.  Scaling, negation, the Hilbert
+transform and the derivative keep the operand's indices; sums merge lines
+by index; a product convolves the two-sided coefficients by integer index
+sums.  A result whose surviving indices share a factor ``g`` moves to the
+coarser base ``g*omega0``.  Only two operands on different bases are
+searched again, over both operands' frequencies together.
+
 The analytic signal of ``f`` is ``A0 + sum_k A_k exp(j w_k t)``; a constant
 keeps its full weight, so the analytic signal of a DC value ``c`` is ``c``
 (zero quadrature part).  Extending time to ``t + j s`` with ``s >= 0``
@@ -93,6 +103,19 @@ def _combine_units(a, b):
     raise ValueError(f"incompatible units: {a!r} and {b!r}")
 
 
+def _sum_by_key(keys, re, im):
+    """Distinct keys ascending, each one's first position, and per-key sums.
+
+    The sums of ``re + j*im`` are added in input order, as a running sum
+    over the entries would add them.
+    """
+    keys, first, slot = np.unique(keys, return_index=True, return_inverse=True)
+    sums = np.empty(keys.size, dtype=complex)
+    sums.real = np.bincount(slot, re, keys.size)
+    sums.imag = np.bincount(slot, im, keys.size)
+    return keys, first, sums
+
+
 @dataclass(frozen=True)
 class SpectralLine:
     """One spectral line: angular frequency (rad/s) and complex peak amplitude."""
@@ -111,6 +134,14 @@ class SpectralLine:
             raise ValueError("the DC amplitude must be purely real")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "amplitude", amplitude)
+
+
+def _checked_line(omega, amplitude):
+    """SpectralLine from a float and a complex the caller has already checked."""
+    line = object.__new__(SpectralLine)
+    object.__setattr__(line, "omega", omega)
+    object.__setattr__(line, "amplitude", amplitude)
+    return line
 
 
 @dataclass(frozen=True)
@@ -164,6 +195,12 @@ class LineSpectrum:
     :meth:`from_lines` to build a spectrum from arbitrary (omega, amplitude)
     pairs; the raw constructor expects already well-formed lines.
 
+    ``omega0`` is the lattice base (None without positive lines) and
+    ``_indices`` holds each line's integer multiple of it, 0 for DC.  Both
+    the raw constructor and :meth:`from_lines` search for them once; the
+    operators derive their results' lattices from their operands' and
+    search only when two operands' bases differ.
+
     Instances are immutable after construction and safe to share between
     threads.
     """
@@ -215,28 +252,52 @@ class LineSpectrum:
             if not (math.isfinite(amplitude.real) and math.isfinite(amplitude.imag)):
                 raise ValueError("amplitude must be finite")
         base, indices = _find_lattice([w for w, _ in raw if w > 0.0])
-        amps: dict[int, complex] = {}
-        omegas: dict[int, float] = {}
         pos = iter(indices)
-        for omega, amplitude in raw:
-            n = 0 if omega == 0.0 else next(pos)
-            amps[n] = amps.get(n, 0.0) + amplitude
-            omegas.setdefault(n, omega)
-        if 0 in amps:
-            dc = amps[0]
-            limit = max((abs(a) for a in amps.values()), default=0.0)
-            if abs(dc.imag) > COMMENSURATE_RTOL * max(limit, abs(dc)):
+        keys, first, amps = _sum_by_key(
+            np.array([0 if w == 0.0 else next(pos) for w, _ in raw], dtype=np.int64),
+            [a.real for _, a in raw],
+            [a.imag for _, a in raw],
+        )
+        omegas = np.array([w for w, _ in raw], dtype=float)[first]
+        return cls._from_keys(keys, omegas, amps, unit, base, prune)
+
+    @classmethod
+    def _on_lattice(cls, lines, unit, omega0, indices):
+        """Instance with a known lattice: no search and no line validation."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "omega0", omega0)
+        object.__setattr__(self, "_indices", indices)
+        return self
+
+    @classmethod
+    def _from_keys(cls, keys, omegas, amps, unit, base, prune=False):
+        """Spectrum of lines at ascending distinct lattice indices ``keys`` of ``base``.
+
+        Key 0 is the DC line.  Exact zeros, and with ``prune`` lines below
+        PRUNE_RTOL of the largest amplitude, are dropped; the base then grows
+        by the gcd of the surviving keys.
+        """
+        if keys.size == 0:
+            return cls._on_lattice((), unit, None, ())
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitude must be finite")
+        mags = np.abs(amps)
+        if keys[0] == 0:
+            if abs(amps[0].imag) > COMMENSURATE_RTOL * mags.max():
                 raise ValueError("the DC amplitude must be purely real")
-            amps[0] = complex(dc.real, 0.0)
-        cutoff = 0.0
-        if prune and amps:
-            cutoff = PRUNE_RTOL * max(abs(a) for a in amps.values())
-        lines = [
-            SpectralLine(omegas[n], a)
-            for n, a in sorted(amps.items())
-            if abs(a) > cutoff
-        ]
-        return cls(tuple(lines), unit)
+            amps[0] = amps[0].real
+            mags[0] = abs(amps[0].real)
+        keep = mags > (PRUNE_RTOL * mags.max() if prune else 0.0)
+        keys, omegas, amps = keys[keep], omegas[keep], amps[keep]
+        shrink = math.gcd(*keys.tolist())
+        if shrink > 1:
+            keys //= shrink
+            base *= shrink
+        lines = tuple(map(_checked_line, omegas.tolist(), amps.tolist()))
+        omega0 = base if keys.size and keys[-1] > 0 else None
+        return cls._on_lattice(lines, unit, omega0, tuple(keys.tolist()))
 
     @classmethod
     def zero(cls, unit=""):
@@ -402,27 +463,74 @@ class LineSpectrum:
     # ------------------------------------------------------------------
     # line-level operators
 
+    @property
+    def _keys(self) -> np.ndarray:
+        return np.array(self._indices, dtype=np.int64)
+
+    # The operators silence numpy's overflow warnings: _from_keys raises
+    # ValueError for any non-finite amplitude they produce.
+
+    def _relined(self, amplitudes, unit, positive_only=False) -> "LineSpectrum":
+        """This spectrum's lines and lattice with new amplitudes."""
+        keys, omegas = self._keys, self.omegas
+        if positive_only:
+            keys, omegas = keys[keys > 0], omegas[keys > 0]
+        return LineSpectrum._from_keys(keys, omegas, amplitudes, unit, self.omega0)
+
     def hilbert(self) -> "LineSpectrum":
         """Quadrature signal: each positive line gains -j, the DC line vanishes."""
-        return LineSpectrum.from_lines(
-            [(ln.omega, -1j * ln.amplitude) for ln in self.lines if ln.omega > 0.0],
-            self.unit,
-        )
+        return self._relined(-1j * self._pos_amplitudes, self.unit, positive_only=True)
 
     def derivative(self) -> "LineSpectrum":
         """Exact time derivative: each line gains j*omega, DC vanishes."""
-        return LineSpectrum.from_lines(
-            [(ln.omega, 1j * ln.omega * ln.amplitude) for ln in self.lines if ln.omega > 0.0],
-            _DERIVATIVE_UNITS.get(self.unit, ""),
+        with np.errstate(over="ignore", invalid="ignore"):
+            amps = 1j * self._pos_omegas * self._pos_amplitudes
+        return self._relined(
+            amps, _DERIVATIVE_UNITS.get(self.unit, ""), positive_only=True
         )
 
     def scale(self, factor, unit=None) -> "LineSpectrum":
         """Multiply by a real constant, optionally retagging the unit."""
         factor = float(factor)
-        return LineSpectrum.from_lines(
-            [(ln.omega, factor * ln.amplitude) for ln in self.lines],
-            self.unit if unit is None else unit,
+        with np.errstate(over="ignore", invalid="ignore"):
+            amps = factor * self.amplitudes
+        return self._relined(amps, self.unit if unit is None else unit)
+
+    def _shared_lattice(self, other):
+        """A base common to both spectra and each one's keys on it.
+
+        The operands' own lattices serve when their bases are equal or one
+        has none; otherwise both sets of positive frequencies are searched
+        together, which raises IncommensurateError when no base exists.
+        """
+        a, b = self.omega0, other.omega0
+        if a is None or b is None or a == b:
+            return (b if a is None else a), self._keys, other._keys
+        n_a = self._pos_omegas.size
+        base, found = _find_lattice(
+            self._pos_omegas.tolist() + other._pos_omegas.tolist()
         )
+        found = np.array(found, dtype=np.int64)
+        keys_a = np.concatenate((self._keys[self._keys == 0], found[:n_a]))
+        keys_b = np.concatenate((other._keys[other._keys == 0], found[n_a:]))
+        return base, keys_a, keys_b
+
+    def _two_sided(self, keys):
+        """Two-sided Fourier coefficients in line order: keys, real and imaginary parts.
+
+        A DC line gives c_0 = A_0; a line at key n > 0 gives c_n = A/2
+        followed by c_-n = conj(A)/2.
+        """
+        amps = self.amplitudes
+        dc = int(keys[0] == 0)
+        half = 0.5 * amps[dc:]
+        k2 = np.empty(2 * keys.size - dc, dtype=np.int64)
+        re2 = np.empty(k2.size)
+        im2 = np.empty(k2.size)
+        k2[:dc], re2[:dc], im2[:dc] = 0, amps[:dc].real, 0.0
+        k2[dc::2], re2[dc::2], im2[dc::2] = keys[dc:], half.real, half.imag
+        k2[dc + 1::2], re2[dc + 1::2], im2[dc + 1::2] = -keys[dc:], half.real, -half.imag
+        return k2, re2, im2
 
     def multiply(self, other, unit=None) -> "LineSpectrum":
         """Exact pointwise product via sum and difference frequencies.
@@ -430,7 +538,7 @@ class LineSpectrum:
         Both spectra must live on a common frequency lattice.  The result
         satisfies evaluate(f*g, t) == evaluate(f, t)*evaluate(g, t) to machine
         precision; lines below PRUNE_RTOL of the largest product amplitude are
-        dropped.
+        dropped.  The product's lines sit at n*omega0 of the common base.
         """
         if not isinstance(other, LineSpectrum):
             raise TypeError("multiply expects another LineSpectrum")
@@ -438,36 +546,21 @@ class LineSpectrum:
             unit = _PRODUCT_UNITS.get((self.unit, other.unit), "")
         if self.is_zero or other.is_zero:
             return LineSpectrum.zero(unit)
-        merged = [ln.omega for ln in self.lines if ln.omega > 0.0]
-        merged += [ln.omega for ln in other.lines if ln.omega > 0.0]
-        base, _ = _find_lattice(merged)
-        coeffs_a = self._symmetric_coefficients(base)
-        coeffs_b = other._symmetric_coefficients(base)
-        conv: dict[int, complex] = {}
-        for na, ca in coeffs_a.items():
-            for nb, cb in coeffs_b.items():
-                n = na + nb
-                if n >= 0:
-                    conv[n] = conv.get(n, 0.0) + ca * cb
-        pairs = []
-        for n, c in conv.items():
-            if n == 0:
-                pairs.append((0.0, complex(c.real, 0.0)))
-            else:
-                pairs.append((n * base, 2.0 * c))
-        return LineSpectrum.from_lines(pairs, unit, prune=True)
-
-    def _symmetric_coefficients(self, base) -> dict[int, complex]:
-        """Two-sided Fourier coefficients c_n on the lattice of ``base``."""
-        coeffs: dict[int, complex] = {}
-        for ln in self.lines:
-            if ln.omega == 0.0:
-                coeffs[0] = complex(ln.amplitude.real, 0.0)
-            else:
-                n = round(ln.omega / base)
-                coeffs[n] = 0.5 * ln.amplitude
-                coeffs[-n] = 0.5 * ln.amplitude.conjugate()
-        return coeffs
+        base, keys_a, keys_b = self._shared_lattice(other)
+        k_a, re_a, im_a = self._two_sided(keys_a)
+        k_b, re_b, im_b = other._two_sided(keys_b)
+        keys = np.add.outer(k_a, k_b).ravel()
+        upper = keys >= 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the real form rounds each partial product once, as scalar complex
+            # multiplication does, where numpy's complex kernels may fuse them
+            re = np.multiply.outer(re_a, re_b) - np.multiply.outer(im_a, im_b)
+            im = np.multiply.outer(re_a, im_b) + np.multiply.outer(im_a, re_b)
+            keys, _, conv = _sum_by_key(keys[upper], re.ravel()[upper], im.ravel()[upper])
+            # one-sided amplitude: 2*c_n for n > 0, the real part of c_0 for DC
+            amps = np.where(keys > 0, 2.0 * conv, conv.real)
+        omegas = keys * (0.0 if base is None else base)
+        return LineSpectrum._from_keys(keys, omegas, amps, unit, base, prune=True)
 
     # ------------------------------------------------------------------
     # operators
@@ -475,9 +568,14 @@ class LineSpectrum:
     def __add__(self, other):
         if not isinstance(other, LineSpectrum):
             return NotImplemented
-        return LineSpectrum.from_lines(
-            self.lines + other.lines, _combine_units(self.unit, other.unit)
+        unit = _combine_units(self.unit, other.unit)
+        base, keys_a, keys_b = self._shared_lattice(other)
+        amps = np.concatenate((self.amplitudes, other.amplitudes))
+        keys, first, amps = _sum_by_key(
+            np.concatenate((keys_a, keys_b)), amps.real, amps.imag
         )
+        omegas = np.concatenate((self.omegas, other.omegas))[first]
+        return LineSpectrum._from_keys(keys, omegas, amps, unit, base)
 
     def __sub__(self, other):
         if not isinstance(other, LineSpectrum):

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from pqbalance import spectrum
 from pqbalance.network import Branch, Netlist, SingularNetworkError, solve
 from pqbalance.spectrum import VOLT, LineSpectrum
 
@@ -101,3 +102,22 @@ def flicker_netlist():
         ),
         ("a", "0"),
     )
+
+
+@pytest.fixture
+def lattice_searches(monkeypatch):
+    """Sizes of the lattice searches run over non-empty frequency lists.
+
+    ``LineSpectrum.zero`` searches an empty list, which costs nothing and
+    is not recorded.
+    """
+    sizes = []
+    search = spectrum._find_lattice
+
+    def counted(omegas):
+        if len(omegas):
+            sizes.append(len(omegas))
+        return search(omegas)
+
+    monkeypatch.setattr(spectrum, "_find_lattice", counted)
+    return sizes

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from pqbalance.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, load_config, main
+from pqbalance.network import solve
+from pqbalance.power import verify_balances
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -224,6 +226,16 @@ def test_analyze_runs_are_byte_identical(bench_dir):
     for path_a in sorted(out_a.iterdir()):
         path_b = out_b / path_a.name
         assert path_a.read_bytes() == path_b.read_bytes()
+
+
+def test_analyze_balance_json_is_the_verify_balances_report(bench_dir):
+    cfg_path = bench_dir / "flicker_config.json"
+    out = bench_dir / "out"
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    cfg = load_config(cfg_path)
+    report = verify_balances(solve(cfg.netlist, cfg.source), cfg.time_grid(), cfg.scale_grid())
+    written = json.loads((out / "balance.json").read_text(encoding="utf-8"))
+    assert written == report.to_dict()
 
 
 def test_csv_uses_full_precision_and_lf(tmp_path):

@@ -446,3 +446,44 @@ def test_q_routes_cross_check_on_random_single_tones(rng):
         q1 = q_from_stored_energy(sol, omega)
         q2 = classical_summary(sol).q_budeanu
         assert q1 == pytest.approx(q2, rel=1e-10, abs=1e-10)
+
+
+# ----------------------------------------------------------------------
+# lattice searches: one per branch spectrum in solve, none afterwards
+
+
+def _product_operands(sol):
+    """The spectra the power layer multiplies: port current, R/L currents, C voltages."""
+    return [sol.port_current] + [
+        (sol.branch_voltage if b.kind == CAPACITOR else sol.branch_current)[b.id]
+        for b in sol.netlist.branches
+    ]
+
+
+def test_solve_searches_once_per_branch_spectrum(rng, lattice_searches):
+    for _ in range(50):
+        sol = solved_case(rng, allow_dc=True)
+        del lattice_searches[:]
+        solve(sol.netlist, sol.source)
+        assert len(lattice_searches) == 2 * len(sol.netlist.branches) + 1
+
+
+def test_power_layers_reuse_the_solved_lattice(rng, lattice_searches):
+    """No search after solve when every product operand kept the source's lattice.
+
+    A branch that is idle at some source lines but not at all of them
+    carries a coarser lattice, and sums with its products search again over
+    both operands; 4 of these 200 nets have such a branch.
+    """
+    shared = 0
+    for _ in range(200):
+        sol = solved_case(rng, allow_dc=False)
+        if any(f.omega0 not in (None, sol.source.omega0) for f in _product_operands(sol)):
+            continue
+        shared += 1
+        del lattice_searches[:]
+        instantaneous(sol)
+        real_imaginary_power(sol.source, sol.port_current)
+        budeanu(sol)
+        assert lattice_searches == []
+    assert shared >= 190

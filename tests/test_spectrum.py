@@ -1,6 +1,7 @@
 """Line-spectrum arithmetic: construction, evaluation, and exact operators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -364,3 +365,111 @@ def test_mean_of_product_matches_numeric_inner_product(pair):
     numeric = float(np.mean(f.evaluate(t) * g.evaluate(t)))
     scale = max(f.rms() * g.rms(), 1e-12)
     assert abs(product.mean() - numeric) <= 1e-9 * scale
+
+
+# ----------------------------------------------------------------------
+# the carried lattice
+
+
+def _rebuilt(f):
+    """``f`` built afresh from its own lines, with a new lattice search."""
+    return LineSpectrum.from_lines([(ln.omega, ln.amplitude) for ln in f.lines], f.unit)
+
+
+@settings(deadline=None, max_examples=60)
+@given(lattice_pairs(), st.floats(-1e3, 1e3))
+def test_operators_carry_the_lattice_a_fresh_search_finds(pair, factor):
+    f, g = pair
+    results = {
+        "add": f + g,
+        "sub": f - g,
+        "scale": f.scale(factor),
+        "hilbert": f.hilbert(),
+        "derivative": f.derivative(),
+        "multiply": f.multiply(g),
+    }
+    for name, result in results.items():
+        fresh = _rebuilt(result)
+        assert result.lines == fresh.lines, name
+        assert result._indices == fresh._indices, name
+        if fresh.omega0 is None:
+            assert result.omega0 is None, name
+        else:
+            assert result.omega0 == pytest.approx(fresh.omega0, rel=1e-12), name
+
+
+def test_from_lines_searches_once(lattice_searches):
+    f = LineSpectrum.from_lines([(0.0, 1.0), (2.0, 1.0j), (1.0, 0.0), (3.0, 2.0)])
+    assert lattice_searches == [3]
+    assert f._indices == (0, 2, 3)
+    LineSpectrum.dc(4.0)
+    LineSpectrum.zero()
+    assert lattice_searches == [3]
+
+
+def test_operators_on_one_lattice_do_not_search(lattice_searches):
+    f = LineSpectrum.from_lines([(0.0, 1.0), (1.0, 2.0), (3.0, 1.0j)])
+    g = LineSpectrum.from_lines([(2.0, 1.0), (3.0, -1.0j)])
+    assert f.omega0 == g.omega0 == 1.0
+    del lattice_searches[:]
+    product = (f + g - LineSpectrum.dc(1.0)).multiply(f.hilbert())
+    product.derivative().scale(2.0) + LineSpectrum.zero()
+    assert lattice_searches == []
+
+
+def test_dropped_lines_coarsen_the_lattice():
+    f = LineSpectrum.from_lines([(1.0, 1.0), (2.0, 1.0), (4.0, 1.0)])
+    g = f - LineSpectrum.tone(1.0)
+    assert g._indices == (1, 2)
+    assert g.omega0 == 2.0
+    assert f.multiply(f)._indices == (0, 1, 2, 3, 4, 5, 6, 8)
+    cos2 = LineSpectrum.tone(1.5).multiply(LineSpectrum.tone(1.5))
+    assert (cos2.omega0, cos2._indices) == (3.0, (0, 1))
+
+
+def test_sum_of_incommensurate_tones_rejected():
+    with pytest.raises(IncommensurateError):
+        LineSpectrum.tone(1.0) + LineSpectrum.tone(math.pi)
+    with pytest.raises(IncommensurateError):
+        LineSpectrum.tone(1.0) - LineSpectrum.tone(math.pi)
+
+
+def test_operands_on_different_bases_meet_on_a_common_lattice(lattice_searches):
+    a = LineSpectrum.from_lines([(1.0 / 3.0, 1.0), (2.0 / 3.0, 0.5j)])
+    b = LineSpectrum.from_lines([(0.0, 2.0), (0.5, -1.0 + 0.5j), (1.0, 0.25)])
+    assert (a.omega0, b.omega0) == (1.0 / 3.0, 0.5)
+    del lattice_searches[:]
+    third, sixth = 1.0 / 3.0, (1.0 / 3.0) / 2.0
+    # the lines the per-pair search of the earlier dict convolution gave
+    assert [(ln.omega, ln.amplitude) for ln in a.multiply(b).lines] == [
+        (sixth, -0.375),
+        (2 * sixth, 2.0 - 0.0625j),
+        (4 * sixth, 0.125 + 1.0j),
+        (5 * sixth, -0.5 + 0.25j),
+        (7 * sixth, -0.125 - 0.25j),
+        (8 * sixth, 0.125),
+        (10 * sixth, 0.0625j),
+    ]
+    assert [(ln.omega, ln.amplitude) for ln in (a + b).lines] == [
+        (0.0, 2.0), (third, 1.0), (0.5, -1.0 + 0.5j), (2.0 / 3.0, 0.5j), (1.0, 0.25),
+    ]
+    assert [(ln.omega, ln.amplitude) for ln in (a - b).lines] == [
+        (0.0, -2.0), (third, 1.0), (0.5, 1.0 - 0.5j), (2.0 / 3.0, 0.5j), (1.0, -0.25),
+    ]
+    # one search over both operands' four positive lines per operator
+    assert lattice_searches == [4, 4, 4]
+    assert (a + b).omega0 == pytest.approx(1.0 / 6.0, rel=1e-15)
+
+
+def test_overflowing_amplitudes_raise_value_error():
+    big = LineSpectrum.tone(1.0, 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            big.multiply(big)
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            LineSpectrum.tone(1.0, 1.5e308) + LineSpectrum.tone(1.0, 1.5e308)
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            big.scale(1e10)
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            LineSpectrum.tone(1e10, 1e300).derivative()
