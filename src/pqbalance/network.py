@@ -3,11 +3,15 @@
 The load is a netlist of resistor/inductor/capacitor branches on named
 nodes, driven by one ideal voltage source (the port) whose voltage does
 not depend on the drawn current.  Each spectral line of the port voltage
-is solved independently with modified nodal analysis; inductor currents
-are kept as explicit unknowns so the DC line needs no special casing
-(an inductor is then a short, a capacitor an open).  Superposing the
-per-line phasors yields every branch voltage and current as an exact
-:class:`~pqbalance.spectrum.LineSpectrum`.
+is solved independently with modified nodal analysis (Ho, Ruehli and
+Brennan, "The modified nodal approach to network analysis", IEEE Trans.
+Circuits Syst., 1975); inductor currents are kept as explicit unknowns
+so the DC line needs no special casing (an inductor is then a short, a
+capacitor an open).  The nodal matrix is stamped once per netlist as two
+real matrices, A(omega) = G + j*omega*C, so a line costs one matrix sum,
+one LU solve and a few matrix products for the branch quantities and the
+self-checks.  Superposing the per-line phasors yields every branch
+voltage and current as an exact :class:`~pqbalance.spectrum.LineSpectrum`.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg
@@ -103,6 +108,11 @@ class Netlist:
     def by_kind(self, kind) -> list[Branch]:
         return [b for b in self.branches if b.kind == kind]
 
+    @cached_property
+    def _stamps(self) -> _Stamps:
+        # frozen, so the stamps can never go stale
+        return _Stamps(self)
+
     # ------------------------------------------------------------------
     # JSON interchange:  {"branches": [{"id", "kind", "value", "nodes": [a, b]}],
     #                     "port": {"plus", "ground"}}
@@ -183,124 +193,105 @@ class NetworkSolution:
     port_current: LineSpectrum
 
 
-class _MnaSystem:
-    """Index bookkeeping for one netlist: node rows, inductor and source columns."""
+class _Stamps:
+    """The nodal system of one netlist, stamped once for every frequency.
+
+    The unknowns are x = [node voltages (ground excluded), inductor
+    currents in branch order, source current], and the system at omega is
+    A(omega) x = e_src * v_port with A(omega) = g + 1j*omega*c.  On the
+    nodes, g is the incidence matrix times the diagonal of resistor
+    conductances times its transpose, and c the same with capacitances.
+    Each inductor adds its incidence column and row to g and -L to its
+    diagonal entry of c; the source adds its column and row to g.
+    """
 
     def __init__(self, net: Netlist):
-        self.net = net
         plus, ground = net.port
-        self.ground = ground
-        self.node_index = {n: i for i, n in enumerate(x for x in net.nodes if x != ground)}
-        self.inductors = net.by_kind(INDUCTOR)
-        self.n_nodes = len(self.node_index)
-        self.ind_index = {b.id: self.n_nodes + k for k, b in enumerate(self.inductors)}
-        self.src_index = self.n_nodes + len(self.inductors)
-        self.size = self.src_index + 1
-        self.plus_row = self.node_index[plus]
-
-    def matrix(self, omega) -> np.ndarray:
-        a = np.zeros((self.size, self.size), dtype=complex)
-        idx = self.node_index
-        for b in self.net.branches:
-            na, nb = b.nodes
-            ia = idx.get(na)
-            ib = idx.get(nb)
-            if b.kind == INDUCTOR:
-                k = self.ind_index[b.id]
-                if ia is not None:
-                    a[ia, k] += 1.0
-                    a[k, ia] += 1.0
-                if ib is not None:
-                    a[ib, k] -= 1.0
-                    a[k, ib] -= 1.0
-                a[k, k] -= 1j * omega * b.value
-            else:
-                y = 1.0 / b.value if b.kind == RESISTOR else 1j * omega * b.value
-                if ia is not None:
-                    a[ia, ia] += y
-                if ib is not None:
-                    a[ib, ib] += y
-                if ia is not None and ib is not None:
-                    a[ia, ib] -= y
-                    a[ib, ia] -= y
+        names = [n for n in net.nodes if n != ground] + [ground]
+        at = {n: i for i, n in enumerate(names)}
+        cols = np.arange(len(net.branches))
+        incidence = np.zeros((len(names), cols.size))
+        incidence[[at[b.nodes[0]] for b in net.branches], cols] = 1.0
+        incidence[[at[b.nodes[1]] for b in net.branches], cols] = -1.0
+        # the ground row is the reference potential and has no equation
+        self.incidence = inc = incidence[:-1]
+        self.ids = [b.id for b in net.branches]
+        self.values = np.array([b.value for b in net.branches])
+        kinds = np.array([b.kind for b in net.branches])
+        self.resistor = res = kinds == RESISTOR
+        self.capacitor = cap = kinds == CAPACITOR
+        self.inductor = ind = kinds == INDUCTOR
+        n = self.n_nodes = inc.shape[0]
+        src = self.src = n + int(ind.sum())
+        self.plus = at[plus]
+        self.g = np.zeros((src + 1, src + 1))
+        self.c = np.zeros_like(self.g)
+        self.g[:n, :n] = (inc[:, res] / self.values[res]) @ inc[:, res].T
+        self.c[:n, :n] = (inc[:, cap] * self.values[cap]) @ inc[:, cap].T
+        self.g[:n, n:src] = inc[:, ind]
+        self.g[n:src, :n] = inc[:, ind].T
+        self.c[range(n, src), range(n, src)] = -self.values[ind]
         # ideal source: current unknown flows out of the + terminal into the net
-        a[self.plus_row, self.src_index] -= 1.0
-        a[self.src_index, self.plus_row] += 1.0
-        return a
+        self.g[self.plus, src] = -1.0
+        self.g[src, self.plus] = 1.0
+
+    def branch_phasors(self, omega, x):
+        """Branch voltages and currents, in branch order, from the solution x."""
+        volts = self.incidence.T @ x[:self.n_nodes]
+        amps = np.empty_like(volts)
+        res, cap, ind = self.resistor, self.capacitor, self.inductor
+        amps[res] = volts[res] / self.values[res]
+        amps[cap] = 1j * omega * self.values[cap] * volts[cap]
+        amps[ind] = x[self.n_nodes:self.src]
+        return volts, amps
 
 
-def _branch_quantities(system, b, omega, volts, currents_col):
-    idx = system.node_index
-    na, nb = b.nodes
-    va = volts[idx[na]] if na in idx else 0.0
-    vb = volts[idx[nb]] if nb in idx else 0.0
-    v = va - vb
-    if b.kind == RESISTOR:
-        i = v / b.value
-    elif b.kind == CAPACITOR:
-        i = 1j * omega * b.value * v
-    else:
-        i = currents_col[system.ind_index[b.id]]
-    return v, i
-
-
-def _self_check(system, phasors, kcl_scale):
+def _self_check(stamps, omega, a, x, volts, amps, v_port):
     """KCL at every non-ground node and V = Z*I per branch, both to 1e-10.
 
-    The current sums are judged against ``kcl_scale``, the largest node
-    row of |A|*|x| for the nodal matrix A and solution x: the magnitudes
-    the solve added up there.  A line that drives no current anywhere
-    leaves only round-off currents, so the currents alone are no scale.
-    Each branch-law gap is judged against the largest magnitude of its
-    unit anywhere in the solution, so a branch that carries no current
-    is held to the round-off of the whole network, not to its own zero.
+    The current sums are judged against the largest node row of |A|*|x|
+    for the nodal matrix A and solution x: the magnitudes the solve added
+    up there.  A line that drives no current anywhere leaves only
+    round-off currents, so the currents alone are no scale.  Each
+    branch-law gap is judged against the largest magnitude of its unit
+    anywhere in the solution, so a branch that carries no current is held
+    to the round-off of the whole network, not to its own zero.
     """
-    net = system.net
-    flows = {n: 0.0 + 0.0j for n in system.node_index}
-    amp_scale = max(
-        [abs(i) for i in phasors.current.values()] + [abs(phasors.port_current)],
-        default=0.0,
-    )
-    volt_scale = max(
-        [abs(v) for v in phasors.voltage.values()] + [abs(phasors.port_voltage)],
-        default=0.0,
-    )
-    for b in net.branches:
-        na, nb = b.nodes
-        i = phasors.current[b.id]
-        if na in flows:
-            flows[na] += i
-        if nb in flows:
-            flows[nb] -= i
-    flows[net.port[0]] -= phasors.port_current
-    worst = max((abs(v) for v in flows.values()), default=0.0)
-    if worst > _LAW_RTOL * max(kcl_scale, 1e-300):
-        raise SingularNetworkError(phasors.omega, "current-law self-check failed")
-    for b in net.branches:
-        v = phasors.voltage[b.id]
-        i = phasors.current[b.id]
-        if b.kind == RESISTOR:
-            gap, law_scale = abs(v - b.value * i), volt_scale
-        elif b.kind == INDUCTOR:
-            gap, law_scale = abs(v - 1j * phasors.omega * b.value * i), volt_scale
-        else:
-            gap, law_scale = abs(i - 1j * phasors.omega * b.value * v), amp_scale
-        if gap > _LAW_RTOL * max(law_scale, 1e-300):
-            raise SingularNetworkError(phasors.omega, f"branch law failed for {b.id!r}")
+    port_current = x[stamps.src]
+    flows = stamps.incidence @ amps
+    flows[stamps.plus] -= port_current
+    kcl_scale = (np.abs(a[:stamps.n_nodes]) @ np.abs(x)).max()
+    if np.abs(flows).max() > _LAW_RTOL * max(kcl_scale, 1e-300):
+        raise SingularNetworkError(omega, "current-law self-check failed")
+    # R and L obey v = z*i with z = R or j*omega*L; C obeys i = z*v with z = j*omega*C
+    cap = stamps.capacitor
+    z = np.where(stamps.resistor, stamps.values, 1j * omega * stamps.values)
+    gap = np.abs(np.where(cap, amps, volts) - z * np.where(cap, volts, amps))
+    amp_scale = max(np.abs(amps).max(initial=abs(port_current)), 1e-300)
+    volt_scale = max(np.abs(volts).max(initial=abs(v_port)), 1e-300)
+    failed = gap > _LAW_RTOL * np.where(cap, amp_scale, volt_scale)
+    if failed.any():
+        first = stamps.ids[failed.argmax()]
+        raise SingularNetworkError(omega, f"branch law failed for {first!r}")
 
 
 def solve_frequency(net: Netlist, omega, v_port) -> BranchPhasors:
     """Solve one spectral line of the port voltage.
+
+    Solves the modified nodal system A(omega) x = e_src * v_port of Ho,
+    Ruehli and Brennan ("The modified nodal approach to network analysis",
+    IEEE Trans. Circuits Syst., 1975), with A(omega) = G + j*omega*C from
+    the netlist's stamps, which are built once per netlist.
 
     Raises SingularNetworkError when the nodal matrix is singular at this
     frequency (for example a subnetwork isolated by capacitors at DC).
     """
     if omega < 0.0:
         raise ValueError(f"omega must be >= 0, got {omega!r}")
-    system = _MnaSystem(net)
-    a = system.matrix(omega)
-    rhs = np.zeros(system.size, dtype=complex)
-    rhs[system.src_index] = v_port
+    stamps = net._stamps
+    a = stamps.g + 1j * omega * stamps.c
+    rhs = np.zeros(a.shape[0], dtype=complex)
+    rhs[stamps.src] = v_port
     # Admittance stamps span many orders of magnitude, so scale each row
     # to unit max before factoring; the pivot ratio then measures rank,
     # not stamp units.  An all-zero row is singular outright.
@@ -318,21 +309,15 @@ def solve_frequency(net: Netlist, omega, v_port) -> BranchPhasors:
     if pivots.min() <= _PIVOT_RTOL * pivots.max():
         raise SingularNetworkError(omega)
     x = linalg.lu_solve((lu, piv), rhs / row_scale, check_finite=False)
-    voltage = {}
-    current = {}
-    for b in net.branches:
-        v, i = _branch_quantities(system, b, omega, x, x)
-        voltage[b.id] = complex(v)
-        current[b.id] = complex(i)
-    phasors = BranchPhasors(
+    volts, amps = stamps.branch_phasors(omega, x)
+    _self_check(stamps, omega, a, x, volts, amps, v_port)
+    return BranchPhasors(
         omega=float(omega),
         port_voltage=complex(v_port),
-        port_current=complex(x[system.src_index]),
-        voltage=voltage,
-        current=current,
+        port_current=complex(x[stamps.src]),
+        voltage=dict(zip(stamps.ids, volts.tolist())),
+        current=dict(zip(stamps.ids, amps.tolist())),
     )
-    _self_check(system, phasors, float(np.max(np.abs(a[:system.n_nodes]) @ np.abs(x))))
-    return phasors
 
 
 def solve(net: Netlist, source: LineSpectrum) -> NetworkSolution:
@@ -342,27 +327,24 @@ def solve(net: Netlist, source: LineSpectrum) -> NetworkSolution:
     per_line = tuple(
         solve_frequency(net, ln.omega, ln.amplitude) for ln in source.lines
     )
-    v_lines: dict[str, list] = {b.id: [] for b in net.branches}
-    i_lines: dict[str, list] = {b.id: [] for b in net.branches}
-    port_lines = []
-    for ph in per_line:
-        for b in net.branches:
-            v_lines[b.id].append((ph.omega, ph.voltage[b.id]))
-            i_lines[b.id].append((ph.omega, ph.current[b.id]))
-        port_lines.append((ph.omega, ph.port_current))
-    branch_voltage = {
-        bid: LineSpectrum.from_lines(pairs, VOLT) for bid, pairs in v_lines.items()
-    }
-    branch_current = {
-        bid: LineSpectrum.from_lines(pairs, AMPERE) for bid, pairs in i_lines.items()
-    }
+    omegas = [ph.omega for ph in per_line]
+
+    def spectrum(phasors, unit):
+        return LineSpectrum.from_lines(zip(omegas, phasors), unit)
+
     return NetworkSolution(
         netlist=net,
         source=source,
         per_line=per_line,
-        branch_voltage=branch_voltage,
-        branch_current=branch_current,
-        port_current=LineSpectrum.from_lines(port_lines, AMPERE),
+        branch_voltage={
+            b.id: spectrum([ph.voltage[b.id] for ph in per_line], VOLT)
+            for b in net.branches
+        },
+        branch_current={
+            b.id: spectrum([ph.current[b.id] for ph in per_line], AMPERE)
+            for b in net.branches
+        },
+        port_current=spectrum([ph.port_current for ph in per_line], AMPERE),
     )
 
 

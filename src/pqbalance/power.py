@@ -234,7 +234,8 @@ class ScaledQuantities:
 
     def __post_init__(self):
         for name in ("t", "s"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            # a copy, so freezing it leaves the caller's grid writable
+            arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

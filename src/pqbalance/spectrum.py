@@ -17,8 +17,9 @@ its result instead of searching again.  Scaling, negation, the Hilbert
 transform and the derivative keep the operand's indices; sums merge lines
 by index; a product convolves the two-sided coefficients by integer index
 sums.  A result whose surviving indices share a factor ``g`` moves to the
-coarser base ``g*omega0``.  Only two operands on different bases are
-searched again, over both operands' frequencies together.
+coarser base ``g*omega0``.  Two operands whose bases differ by an integer
+factor meet on the finer base; only two operands on otherwise different
+bases are searched again, over both operands' frequencies together.
 
 The analytic signal of ``f`` is ``A0 + sum_k A_k exp(j w_k t)``; a constant
 keeps its full weight, so the analytic signal of a DC value ``c`` is ``c``
@@ -500,12 +501,22 @@ class LineSpectrum:
         """A base common to both spectra and each one's keys on it.
 
         The operands' own lattices serve when their bases are equal or one
-        has none; otherwise both sets of positive frequencies are searched
-        together, which raises IncommensurateError when no base exists.
+        has none.  When one base is an integer multiple r of the other
+        within COMMENSURATE_RTOL, the finer base serves and the coarser
+        operand's keys are multiplied by r.  Otherwise both sets of positive
+        frequencies are searched together, which raises IncommensurateError
+        when no base exists.
         """
         a, b = self.omega0, other.omega0
         if a is None or b is None or a == b:
             return (b if a is None else a), self._keys, other._keys
+        ratio = max(a, b) / min(a, b)
+        # the search caps lattice steps at the same bound
+        r = round(ratio) if ratio <= _MAX_LATTICE_STEPS else 0
+        if r and abs(ratio - r) <= COMMENSURATE_RTOL * ratio:
+            if a > b:
+                return b, self._keys * r, other._keys
+            return a, self._keys, other._keys * r
         n_a = self._pos_omegas.size
         base, found = _find_lattice(
             self._pos_omegas.tolist() + other._pos_omegas.tolist()

@@ -17,6 +17,7 @@ from pqbalance.network import (
     solve,
     solve_frequency,
 )
+from pqbalance.oracle import _time_domain_matrices
 from pqbalance.spectrum import AMPERE, VOLT, LineSpectrum
 
 from conftest import random_netlist, random_source
@@ -221,13 +222,46 @@ def test_current_free_line_is_not_reported_singular():
         assert ph.voltage["c"] == pytest.approx(1.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("bid", ["r1", "l1", "c1"])
-def test_current_law_check_catches_a_perturbed_current(monkeypatch, bid):
-    exact = network._branch_quantities
+# ----------------------------------------------------------------------
+# the stamps A(omega) = G + j*omega*C, built once per netlist
 
-    def perturbed(system, b, omega, volts, currents_col):
-        v, i = exact(system, b, omega, volts, currents_col)
-        return v, i * (1.0 + 1e-8) if b.id == bid else i
+
+def test_stamps_match_the_oracles_time_domain_matrices():
+    # the oracle assembles G x + C x' = e_src u(t) branch by branch, on its own
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        net = random_netlist(rng)
+        g, c, _, _, src = _time_domain_matrices(net)
+        stamps = net._stamps
+        assert stamps.src == src
+        np.testing.assert_array_almost_equal_nulp(stamps.g, g, nulp=4)
+        np.testing.assert_array_almost_equal_nulp(stamps.c, c, nulp=4)
+
+
+def test_solve_stamps_the_netlist_once(monkeypatch):
+    built = []
+    init = network._Stamps.__init__
+
+    def counted(stamps, net):
+        built.append(net)
+        init(stamps, net)
+
+    monkeypatch.setattr(network._Stamps, "__init__", counted)
+    net = series_rl()
+    source = LineSpectrum.from_lines([(0.5 * (k + 1), 1.0) for k in range(64)], VOLT)
+    assert len(solve(net, source).per_line) == 64
+    solve(net, source)
+    assert len(built) == 1
+
+
+def _perturb_branch(monkeypatch, bid, quantity):
+    """Scale one branch's voltage (0) or current (1) by 1 + 1e-8 after the solve."""
+    exact = network._Stamps.branch_phasors
+
+    def perturbed(stamps, omega, x):
+        phasors = exact(stamps, omega, x)
+        phasors[quantity][stamps.ids.index(bid)] *= 1.0 + 1e-8
+        return phasors
 
     net = Netlist(
         (
@@ -238,8 +272,21 @@ def test_current_law_check_catches_a_perturbed_current(monkeypatch, bid):
         ("p", "0"),
     )
     solve_frequency(net, 1.0, 1.0)
-    monkeypatch.setattr(network, "_branch_quantities", perturbed)
+    monkeypatch.setattr(network._Stamps, "branch_phasors", perturbed)
+    return net
+
+
+@pytest.mark.parametrize("bid", ["r1", "l1", "c1"])
+def test_current_law_check_catches_a_perturbed_current(monkeypatch, bid):
+    net = _perturb_branch(monkeypatch, bid, 1)
     with pytest.raises(SingularNetworkError, match="current-law self-check failed"):
+        solve_frequency(net, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("bid", ["r1", "l1", "c1"])
+def test_branch_law_check_catches_a_perturbed_voltage(monkeypatch, bid):
+    net = _perturb_branch(monkeypatch, bid, 0)
+    with pytest.raises(SingularNetworkError, match=f"branch law failed for '{bid}'"):
         solve_frequency(net, 1.0, 1.0)
 
 

@@ -191,6 +191,15 @@ def test_scaled_pointwise_identities(rng):
     assert np.array_equal(sq.x_reactive, sq.w_magnetic - sq.w_electric)
 
 
+def test_scaled_leaves_the_callers_grids_writable(flicker_solution):
+    t = np.linspace(0.0, 6.0, 8)
+    s = np.linspace(0.0, 1.0, 3)
+    sq = scaled(flicker_solution, t, s)
+    verify_balances(flicker_solution, t, s)
+    assert t.flags.writeable and s.flags.writeable
+    assert not sq.t.flags.writeable and not sq.s.flags.writeable
+
+
 # ----------------------------------------------------------------------
 # balance laws on the scale axis
 
@@ -452,14 +461,6 @@ def test_q_routes_cross_check_on_random_single_tones(rng):
 # lattice searches: one per branch spectrum in solve, none afterwards
 
 
-def _product_operands(sol):
-    """The spectra the power layer multiplies: port current, R/L currents, C voltages."""
-    return [sol.port_current] + [
-        (sol.branch_voltage if b.kind == CAPACITOR else sol.branch_current)[b.id]
-        for b in sol.netlist.branches
-    ]
-
-
 def test_solve_searches_once_per_branch_spectrum(rng, lattice_searches):
     for _ in range(50):
         sol = solved_case(rng, allow_dc=True)
@@ -469,21 +470,18 @@ def test_solve_searches_once_per_branch_spectrum(rng, lattice_searches):
 
 
 def test_power_layers_reuse_the_solved_lattice(rng, lattice_searches):
-    """No search after solve when every product operand kept the source's lattice.
+    """No search after solve, on every draw, with and without DC lines.
 
-    A branch that is idle at some source lines but not at all of them
-    carries a coarser lattice, and sums with its products search again over
-    both operands; 4 of these 200 nets have such a branch.
+    A branch that is idle at some source lines, or carries no DC current,
+    has a coarser lattice than the source; its base is an integer multiple
+    of the source's, so sums with its products map keys instead of
+    searching.
     """
-    shared = 0
-    for _ in range(200):
-        sol = solved_case(rng, allow_dc=False)
-        if any(f.omega0 not in (None, sol.source.omega0) for f in _product_operands(sol)):
-            continue
-        shared += 1
-        del lattice_searches[:]
-        instantaneous(sol)
-        real_imaginary_power(sol.source, sol.port_current)
-        budeanu(sol)
-        assert lattice_searches == []
-    assert shared >= 190
+    for allow_dc in (False, True):
+        for _ in range(200):
+            sol = solved_case(rng, allow_dc=allow_dc)
+            del lattice_searches[:]
+            instantaneous(sol)
+            real_imaginary_power(sol.source, sol.port_current)
+            budeanu(sol)
+            assert lattice_searches == [], allow_dc
