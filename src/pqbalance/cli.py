@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ from .network import Netlist, SingularNetworkError, solve
 from .power import (
     ConsistencyError,
     _balance_report,
-    _budeanu,
     budeanu,
     classical_summary,
     default_s_grid,
@@ -233,12 +232,12 @@ def run_analyze(cfg: AnalysisConfig, out_dir) -> int:
     t_arr = cfg.time_grid()
     s_arr = cfg.scale_grid()
     out = Path(out_dir)
-    # both output sets need all three; build them once
+    # both output sets need these two; build them once
     iset = instantaneous(sol)
-    p_real, q_imag = real_imaginary_power(sol.source, sol.port_current)
     sq = scaled(sol, t_arr, s_arr)
 
     if "csv" in cfg.formats:
+        p_real, q_imag = real_imaginary_power(sol.source, sol.port_current)
         _write_csv(
             out / "instantaneous.csv",
             ["t", "p", "p_d", "w_m", "w_e", "w", "x", "P_t", "Q_t"],
@@ -272,7 +271,7 @@ def run_analyze(cfg: AnalysisConfig, out_dir) -> int:
 
     if "json" in cfg.formats:
         summary = classical_summary(sol)
-        _budeanu(sol, q_imag)  # runs the two-route cross-check
+        budeanu(sol)  # runs the two-route cross-check
         report = _balance_report(sol, iset, sq)
         doc = summary.to_dict()
         doc["character"] = _character(summary.q_budeanu, summary.s_apparent)
@@ -362,16 +361,7 @@ def _resolve_outputs(cfg: AnalysisConfig, args) -> AnalysisConfig:
     if getattr(args, "format", None):
         formats = _FORMATS if args.format == "both" else (args.format,)
     out_dir = getattr(args, "out", None) or cfg.out_dir or "pqbalance_out"
-    return AnalysisConfig(
-        netlist=cfg.netlist,
-        source=cfg.source,
-        t_values=cfg.t_values,
-        t_count=cfg.t_count,
-        s_values=cfg.s_values,
-        s_count=cfg.s_count,
-        out_dir=out_dir,
-        formats=tuple(formats),
-    )
+    return replace(cfg, out_dir=out_dir, formats=tuple(formats))
 
 
 def main(argv=None) -> int:

@@ -325,7 +325,8 @@ def solve(net: Netlist, source: LineSpectrum) -> NetworkSolution:
     if source.unit != VOLT:
         raise ValueError(f"source must be tagged {VOLT!r}, got {source.unit!r}")
     per_line = tuple(
-        solve_frequency(net, ln.omega, ln.amplitude) for ln in source.lines
+        solve_frequency(net, omega, amplitude)
+        for omega, amplitude in zip(source.omegas.tolist(), source.amplitudes.tolist())
     )
     omegas = [ph.omega for ph in per_line]
 

@@ -426,25 +426,21 @@ def _stored_energy_q(sol: NetworkSolution) -> np.ndarray:
 def budeanu(sol: NetworkSolution) -> float:
     """Budeanu reactive total, computed twice and cross-checked.
 
-    Route one takes the mean of the imaginary-power waveform at the port.
-    Route two differentiates the time-averaged reactive stored energy
-    against the scale at s = 0, which turns into 2*omega_k per line
-    applied to the magnetic-minus-electric energy of that line.  The two
-    routes probe different data (port waveforms versus branch interiors)
-    and must agree to CROSS_CHECK_RTOL.
+    Route one is the total of :func:`classical_summary`: the sum of the
+    per-line port reactive powers 1/2 Im(U_k conj I_k), which equals the
+    mean of the port's imaginary-power waveform.  Route two
+    differentiates the time-averaged reactive stored energy against the
+    scale at s = 0, which turns into 2*omega_k per line applied to the
+    magnetic-minus-electric energy of that line.  The two routes probe
+    different data (port phasors versus branch interiors) and must agree
+    to CROSS_CHECK_RTOL.
     """
-    _, q_wave = real_imaginary_power(sol.source, sol.port_current)
-    return _budeanu(sol, q_wave)
-
-
-def _budeanu(sol: NetworkSolution, q_wave: LineSpectrum) -> float:
-    """``budeanu`` given the imaginary-power waveform of the solution's port."""
-    q_port = q_wave.mean()
-
+    summary = classical_summary(sol)
+    q_port = summary.q_budeanu
     q_interior = float(np.sum(_stored_energy_q(sol)))
-
-    s_app = sol.source.rms() * sol.port_current.rms()
-    tol = CROSS_CHECK_RTOL * max(abs(q_port), abs(q_interior), _REACTIVE_FLOOR * s_app)
+    tol = CROSS_CHECK_RTOL * max(
+        abs(q_port), abs(q_interior), _REACTIVE_FLOOR * summary.s_apparent
+    )
     if abs(q_port - q_interior) > tol:
         raise ConsistencyError(
             f"Budeanu routes disagree: port mean {q_port!r} vs "

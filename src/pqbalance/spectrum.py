@@ -4,11 +4,13 @@ A real periodic signal made of finitely many commensurate tones,
 
     f(t) = A0 + sum_k Re{ A_k exp(j w_k t) },        w_k = n_k * omega0,
 
-is stored as its spectral lines (w_k, A_k) with complex peak amplitudes.
-Every positive frequency must lie on the integer lattice of a common base
-frequency ``omega0`` (within 1e-9 relative), which turns products, periodic
-means, time derivatives and the analytic continuation of the signal into
-exact line-level operations instead of discretized ones.
+is stored as three arrays over its spectral lines: the integer lattice
+indices n_k (0 for DC), the frequencies w_k and the complex peak
+amplitudes A_k.  Every positive frequency must lie on the integer lattice
+of a common base frequency ``omega0`` (within 1e-9 relative), which turns
+products, periodic means, time derivatives and the analytic continuation
+of the signal into exact line-level operations instead of discretized
+ones.  ``SpectralLine`` objects are built only when ``lines`` is read.
 
 The lattice is searched for once, when a spectrum is built from user
 frequencies: a rational-ratio search finds ``omega0`` and each line's
@@ -137,14 +139,6 @@ class SpectralLine:
         object.__setattr__(self, "amplitude", amplitude)
 
 
-def _checked_line(omega, amplitude):
-    """SpectralLine from a float and a complex the caller has already checked."""
-    line = object.__new__(SpectralLine)
-    object.__setattr__(line, "omega", omega)
-    object.__setattr__(line, "amplitude", amplitude)
-    return line
-
-
 @dataclass(frozen=True)
 class ComplexTimePoint:
     """A complex time value t + j*s; the part ``s >= 0`` is the smoothing scale."""
@@ -186,7 +180,7 @@ class SampledSignal:
         return self.t0 + self.dt * np.arange(self.samples.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LineSpectrum:
     """A real multi-tone signal as an immutable, lattice-aligned line spectrum.
 
@@ -196,11 +190,13 @@ class LineSpectrum:
     :meth:`from_lines` to build a spectrum from arbitrary (omega, amplitude)
     pairs; the raw constructor expects already well-formed lines.
 
-    ``omega0`` is the lattice base (None without positive lines) and
-    ``_indices`` holds each line's integer multiple of it, 0 for DC.  Both
-    the raw constructor and :meth:`from_lines` search for them once; the
-    operators derive their results' lattices from their operands' and
-    search only when two operands' bases differ.
+    The lines are stored as three read-only arrays in line order: ``_keys``
+    holds each line's integer multiple of the lattice base ``omega0`` (0
+    for DC; ``omega0`` is None without positive lines), ``_omegas`` the
+    frequencies and ``_amps`` the amplitudes.  ``lines`` is built from them
+    on first read.  Both the raw constructor and :meth:`from_lines` search
+    for the lattice once; the operators derive their results' lattices
+    from their operands' and search only when two operands' bases differ.
 
     Instances are immutable after construction and safe to share between
     threads.
@@ -209,23 +205,35 @@ class LineSpectrum:
     lines: tuple[SpectralLine, ...]
     unit: str = ""
     omega0: float | None = field(init=False, default=None, compare=False, repr=False)
-    _indices: tuple[int, ...] = field(init=False, default=(), compare=False, repr=False)
+    _keys: np.ndarray = field(init=False, compare=False, repr=False)
+    _omegas: np.ndarray = field(init=False, compare=False, repr=False)
+    _amps: np.ndarray = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __init__(self, lines, unit=""):
         lines = tuple(
             ln if isinstance(ln, SpectralLine) else SpectralLine(*ln)
-            for ln in self.lines
+            for ln in lines
         )
-        omegas = [ln.omega for ln in lines]
-        for lo, hi in zip(omegas, omegas[1:]):
-            if not lo < hi:
-                raise ValueError("line frequencies must be strictly ascending")
-        positive = [w for w in omegas if w > 0.0]
-        base, pos_idx = _find_lattice(positive)
-        indices = ([0] if len(positive) < len(omegas) else []) + pos_idx
-        object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "omega0", base)
-        object.__setattr__(self, "_indices", tuple(indices))
+        omegas = np.array([ln.omega for ln in lines], dtype=float)
+        if np.any(omegas[1:] <= omegas[:-1]):
+            raise ValueError("line frequencies must be strictly ascending")
+        dc = int(omegas.size > 0 and omegas[0] == 0.0)
+        base, found = _find_lattice(omegas[dc:].tolist())
+        self._hold(
+            np.array([0] * dc + found, dtype=np.int64),
+            omegas,
+            np.array([ln.amplitude for ln in lines], dtype=complex),
+            unit,
+            base,
+        )
+
+    def _hold(self, keys, omegas, amps, unit, omega0):
+        """Store the line arrays read-only, with the unit and lattice base."""
+        for name, arr in (("_keys", keys), ("_omegas", omegas), ("_amps", amps)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "omega0", omega0)
 
     # ------------------------------------------------------------------
     # constructors
@@ -263,42 +271,32 @@ class LineSpectrum:
         return cls._from_keys(keys, omegas, amps, unit, base, prune)
 
     @classmethod
-    def _on_lattice(cls, lines, unit, omega0, indices):
-        """Instance with a known lattice: no search and no line validation."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "omega0", omega0)
-        object.__setattr__(self, "_indices", indices)
-        return self
-
-    @classmethod
     def _from_keys(cls, keys, omegas, amps, unit, base, prune=False):
         """Spectrum of lines at ascending distinct lattice indices ``keys`` of ``base``.
 
         Key 0 is the DC line.  Exact zeros, and with ``prune`` lines below
         PRUNE_RTOL of the largest amplitude, are dropped; the base then grows
-        by the gcd of the surviving keys.
+        by the gcd of the surviving keys.  ``amps`` must be the caller's own
+        array: its DC entry is set to its real part.
         """
-        if keys.size == 0:
-            return cls._on_lattice((), unit, None, ())
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitude must be finite")
-        mags = np.abs(amps)
-        if keys[0] == 0:
-            if abs(amps[0].imag) > COMMENSURATE_RTOL * mags.max():
-                raise ValueError("the DC amplitude must be purely real")
-            amps[0] = amps[0].real
-            mags[0] = abs(amps[0].real)
-        keep = mags > (PRUNE_RTOL * mags.max() if prune else 0.0)
-        keys, omegas, amps = keys[keep], omegas[keep], amps[keep]
-        shrink = math.gcd(*keys.tolist())
-        if shrink > 1:
-            keys //= shrink
-            base *= shrink
-        lines = tuple(map(_checked_line, omegas.tolist(), amps.tolist()))
-        omega0 = base if keys.size and keys[-1] > 0 else None
-        return cls._on_lattice(lines, unit, omega0, tuple(keys.tolist()))
+        if keys.size:
+            if not np.all(np.isfinite(amps)):
+                raise ValueError("amplitude must be finite")
+            mags = np.abs(amps)
+            if keys[0] == 0:
+                if abs(amps[0].imag) > COMMENSURATE_RTOL * mags.max():
+                    raise ValueError("the DC amplitude must be purely real")
+                amps[0] = amps[0].real
+                mags[0] = abs(amps[0].real)
+            keep = mags > (PRUNE_RTOL * mags.max() if prune else 0.0)
+            keys, omegas, amps = keys[keep], omegas[keep], amps[keep]
+            shrink = math.gcd(*keys.tolist())
+            if shrink > 1:
+                keys //= shrink
+                base *= shrink
+        self = object.__new__(cls)
+        self._hold(keys, omegas, amps, unit, base if keys.size and keys[-1] > 0 else None)
+        return self
 
     @classmethod
     def zero(cls, unit=""):
@@ -345,64 +343,58 @@ class LineSpectrum:
     def to_records(self) -> list[dict]:
         """JSON-friendly form: one {omega, re, im} record per line."""
         return [
-            {"omega": ln.omega, "re": ln.amplitude.real, "im": ln.amplitude.imag}
-            for ln in self.lines
+            {"omega": w, "re": a.real, "im": a.imag}
+            for w, a in zip(self._omegas.tolist(), self._amps.tolist())
         ]
 
     # ------------------------------------------------------------------
     # structure
 
     @cached_property
-    def _dc(self) -> float:
-        if self.lines and self.lines[0].omega == 0.0:
-            return self.lines[0].amplitude.real
-        return 0.0
-
-    @cached_property
-    def _pos_omegas(self) -> np.ndarray:
-        return np.array([ln.omega for ln in self.lines if ln.omega > 0.0])
-
-    @cached_property
-    def _pos_amplitudes(self) -> np.ndarray:
-        return np.array(
-            [ln.amplitude for ln in self.lines if ln.omega > 0.0], dtype=complex
-        )
+    def lines(self) -> tuple[SpectralLine, ...]:
+        """The lines as ``SpectralLine`` objects, built on first read."""
+        return tuple(map(SpectralLine, self._omegas.tolist(), self._amps.tolist()))
 
     @property
     def omegas(self) -> np.ndarray:
-        return np.array([ln.omega for ln in self.lines])
+        return self._omegas.copy()
 
     @property
     def amplitudes(self) -> np.ndarray:
-        return np.array([ln.amplitude for ln in self.lines], dtype=complex)
+        return self._amps.copy()
 
     @property
     def is_zero(self) -> bool:
-        return not self.lines
+        return self._keys.size == 0
 
     @property
     def period(self) -> float | None:
         """Common period 2*pi/omega0, or None without positive lines."""
         return None if self.omega0 is None else 2.0 * math.pi / self.omega0
 
+    def _split(self):
+        """Index of the first positive line (1 after a DC line, else 0) and the DC amplitude."""
+        if self._keys.size and self._keys[0] == 0:
+            return 1, float(self._amps[0].real)
+        return 0, 0.0
+
     @property
     def omega_min(self) -> float | None:
-        w = self._pos_omegas
-        return float(w[0]) if w.size else None
+        dc, _ = self._split()
+        return float(self._omegas[dc]) if self._omegas.size > dc else None
 
     @property
     def omega_max(self) -> float | None:
-        w = self._pos_omegas
-        return float(w[-1]) if w.size else None
+        dc, _ = self._split()
+        return float(self._omegas[-1]) if self._omegas.size > dc else None
 
     def line_at(self, omega) -> complex:
         """Amplitude of the line at ``omega`` (0 when absent)."""
-        for ln in self.lines:
-            if ln.omega == omega or (
-                omega > 0 and abs(ln.omega - omega) <= COMMENSURATE_RTOL * omega
-            ):
-                return ln.amplitude
-        return 0.0 + 0.0j
+        match = self._omegas == omega
+        if omega > 0:
+            match |= np.abs(self._omegas - omega) <= COMMENSURATE_RTOL * omega
+        hits = np.flatnonzero(match)
+        return complex(self._amps[hits[0]]) if hits.size else 0.0 + 0.0j
 
     # ------------------------------------------------------------------
     # evaluation
@@ -410,11 +402,12 @@ class LineSpectrum:
     def evaluate(self, t):
         """Signal value(s) at time ``t`` (scalar or array), always real."""
         t_arr = np.asarray(t, dtype=float)
-        if self._pos_omegas.size == 0:
-            out = np.full(t_arr.shape, self._dc)
+        dc, a0 = self._split()
+        if self._keys.size == dc:
+            out = np.full(t_arr.shape, a0)
         else:
-            rotate = np.exp(1j * np.multiply.outer(t_arr, self._pos_omegas))
-            out = self._dc + (rotate @ self._pos_amplitudes).real
+            rotate = np.exp(1j * np.multiply.outer(t_arr, self._omegas[dc:]))
+            out = a0 + (rotate @ self._amps[dc:]).real
         return float(out) if t_arr.ndim == 0 else out
 
     def analytic_at(self, t, s=0.0):
@@ -426,12 +419,14 @@ class LineSpectrum:
         if s < 0.0:
             raise ValueError(f"s must be >= 0, got {s!r}")
         t_arr = np.asarray(t, dtype=float)
-        if self._pos_omegas.size == 0:
-            out = np.full(t_arr.shape, self._dc, dtype=complex)
+        dc, a0 = self._split()
+        if self._keys.size == dc:
+            out = np.full(t_arr.shape, a0, dtype=complex)
         else:
-            damped = self._pos_amplitudes * np.exp(-self._pos_omegas * s)
-            rotate = np.exp(1j * np.multiply.outer(t_arr, self._pos_omegas))
-            out = self._dc + rotate @ damped
+            omegas = self._omegas[dc:]
+            damped = self._amps[dc:] * np.exp(-omegas * s)
+            rotate = np.exp(1j * np.multiply.outer(t_arr, omegas))
+            out = a0 + rotate @ damped
         return complex(out) if t_arr.ndim == 0 else out
 
     def analytic_grid(self, t_grid, s_grid) -> np.ndarray:
@@ -440,11 +435,13 @@ class LineSpectrum:
         s_arr = np.asarray(s_grid, dtype=float)
         if np.any(s_arr < 0.0):
             raise ValueError("all scale values must be >= 0")
-        if self._pos_omegas.size == 0:
-            return np.full((t_arr.size, s_arr.size), self._dc, dtype=complex)
-        rotate = np.exp(1j * np.outer(t_arr, self._pos_omegas))
-        damp = np.exp(-np.outer(self._pos_omegas, s_arr))
-        return self._dc + rotate @ (self._pos_amplitudes[:, None] * damp)
+        dc, a0 = self._split()
+        if self._keys.size == dc:
+            return np.full((t_arr.size, s_arr.size), a0, dtype=complex)
+        omegas = self._omegas[dc:]
+        rotate = np.exp(1j * np.outer(t_arr, omegas))
+        damp = np.exp(-np.outer(omegas, s_arr))
+        return a0 + rotate @ (self._amps[dc:, None] * damp)
 
     def sample(self, t0, dt, n) -> SampledSignal:
         """Uniform samples at ``t0 + k*dt`` for ``k = 0 .. n-1``."""
@@ -455,46 +452,42 @@ class LineSpectrum:
 
     def mean(self) -> float:
         """Exact periodic mean: the DC amplitude."""
-        return self._dc
+        return self._split()[1]
 
     def rms(self) -> float:
         """Root-mean-square value over the common period."""
-        return math.sqrt(self._dc**2 + 0.5 * float(np.sum(np.abs(self._pos_amplitudes) ** 2)))
+        dc, a0 = self._split()
+        return math.sqrt(a0**2 + 0.5 * float(np.sum(np.abs(self._amps[dc:]) ** 2)))
 
     # ------------------------------------------------------------------
     # line-level operators
 
-    @property
-    def _keys(self) -> np.ndarray:
-        return np.array(self._indices, dtype=np.int64)
-
     # The operators silence numpy's overflow warnings: _from_keys raises
     # ValueError for any non-finite amplitude they produce.
 
-    def _relined(self, amplitudes, unit, positive_only=False) -> "LineSpectrum":
-        """This spectrum's lines and lattice with new amplitudes."""
-        keys, omegas = self._keys, self.omegas
-        if positive_only:
-            keys, omegas = keys[keys > 0], omegas[keys > 0]
-        return LineSpectrum._from_keys(keys, omegas, amplitudes, unit, self.omega0)
+    def _relined(self, amplitudes, unit, start=0) -> "LineSpectrum":
+        """This spectrum's lines from ``start`` on, on its lattice, with new amplitudes."""
+        return LineSpectrum._from_keys(
+            self._keys[start:], self._omegas[start:], amplitudes, unit, self.omega0
+        )
 
     def hilbert(self) -> "LineSpectrum":
         """Quadrature signal: each positive line gains -j, the DC line vanishes."""
-        return self._relined(-1j * self._pos_amplitudes, self.unit, positive_only=True)
+        dc, _ = self._split()
+        return self._relined(-1j * self._amps[dc:], self.unit, dc)
 
     def derivative(self) -> "LineSpectrum":
         """Exact time derivative: each line gains j*omega, DC vanishes."""
+        dc, _ = self._split()
         with np.errstate(over="ignore", invalid="ignore"):
-            amps = 1j * self._pos_omegas * self._pos_amplitudes
-        return self._relined(
-            amps, _DERIVATIVE_UNITS.get(self.unit, ""), positive_only=True
-        )
+            amps = 1j * self._omegas[dc:] * self._amps[dc:]
+        return self._relined(amps, _DERIVATIVE_UNITS.get(self.unit, ""), dc)
 
     def scale(self, factor, unit=None) -> "LineSpectrum":
         """Multiply by a real constant, optionally retagging the unit."""
         factor = float(factor)
         with np.errstate(over="ignore", invalid="ignore"):
-            amps = factor * self.amplitudes
+            amps = factor * self._amps
         return self._relined(amps, self.unit if unit is None else unit)
 
     def _shared_lattice(self, other):
@@ -517,13 +510,15 @@ class LineSpectrum:
             if a > b:
                 return b, self._keys * r, other._keys
             return a, self._keys, other._keys * r
-        n_a = self._pos_omegas.size
+        dc_a, _ = self._split()
+        dc_b, _ = other._split()
+        n_a = self._keys.size - dc_a
         base, found = _find_lattice(
-            self._pos_omegas.tolist() + other._pos_omegas.tolist()
+            self._omegas[dc_a:].tolist() + other._omegas[dc_b:].tolist()
         )
         found = np.array(found, dtype=np.int64)
-        keys_a = np.concatenate((self._keys[self._keys == 0], found[:n_a]))
-        keys_b = np.concatenate((other._keys[other._keys == 0], found[n_a:]))
+        keys_a = np.concatenate((self._keys[:dc_a], found[:n_a]))
+        keys_b = np.concatenate((other._keys[:dc_b], found[n_a:]))
         return base, keys_a, keys_b
 
     def _two_sided(self, keys):
@@ -532,7 +527,7 @@ class LineSpectrum:
         A DC line gives c_0 = A_0; a line at key n > 0 gives c_n = A/2
         followed by c_-n = conj(A)/2.
         """
-        amps = self.amplitudes
+        amps = self._amps
         dc = int(keys[0] == 0)
         half = 0.5 * amps[dc:]
         k2 = np.empty(2 * keys.size - dc, dtype=np.int64)
@@ -581,11 +576,11 @@ class LineSpectrum:
             return NotImplemented
         unit = _combine_units(self.unit, other.unit)
         base, keys_a, keys_b = self._shared_lattice(other)
-        amps = np.concatenate((self.amplitudes, other.amplitudes))
+        amps = np.concatenate((self._amps, other._amps))
         keys, first, amps = _sum_by_key(
             np.concatenate((keys_a, keys_b)), amps.real, amps.imag
         )
-        omegas = np.concatenate((self.omegas, other.omegas))[first]
+        omegas = np.concatenate((self._omegas, other._omegas))[first]
         return LineSpectrum._from_keys(keys, omegas, amps, unit, base)
 
     def __sub__(self, other):

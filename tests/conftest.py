@@ -121,3 +121,22 @@ def lattice_searches(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_find_lattice", counted)
     return sizes
+
+
+@pytest.fixture
+def line_objects(monkeypatch):
+    """SpectralLine objects constructed while the test runs.
+
+    A ``LineSpectrum`` stores its lines as arrays and builds these objects
+    only when ``lines`` is read, so a test can assert that a code path
+    never reads it.
+    """
+    built = []
+    init = spectrum.SpectralLine.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(spectrum.SpectralLine, "__init__", counted)
+    return built

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pqbalance import power
 from pqbalance.network import Branch, CAPACITOR, INDUCTOR, Netlist, RESISTOR, solve
 from pqbalance.power import (
     ConsistencyError,
@@ -406,6 +407,24 @@ def test_budeanu_dual_routes_agree_on_random_cases(rng):
     for _ in range(10):
         sol = solved_case(rng, allow_dc=True)
         budeanu(sol)  # raises ConsistencyError if the two routes disagree
+
+
+def test_budeanu_cross_check_catches_a_perturbed_route(rng, flicker_solution, monkeypatch):
+    # The tolerance floor is 1e-12 of the apparent power, so a 1e-6 relative
+    # error stands out only where |Q| is well above 1e-6 of it.
+    sols = [flicker_solution]
+    while len(sols) < 6:
+        sol = solved_case(rng, allow_dc=True)
+        summary = classical_summary(sol)
+        if abs(summary.q_budeanu) > 1e-4 * summary.s_apparent:
+            sols.append(sol)
+    for sol in sols:
+        budeanu(sol)
+    stored = power._stored_energy_q
+    monkeypatch.setattr(power, "_stored_energy_q", lambda sol: stored(sol) * (1.0 + 1e-6))
+    for sol in sols:
+        with pytest.raises(ConsistencyError, match="Budeanu routes disagree"):
+            budeanu(sol)
 
 
 def test_mean_port_power_equals_mean_dissipation(rng):

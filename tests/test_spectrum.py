@@ -7,6 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pqbalance.network import solve
+from pqbalance.power import (
+    budeanu,
+    instantaneous,
+    real_imaginary_power,
+    scaled,
+    verify_balances,
+)
 from pqbalance.spectrum import (
     AMPERE,
     JOULE,
@@ -18,6 +26,8 @@ from pqbalance.spectrum import (
     SampledSignal,
     SpectralLine,
 )
+
+from conftest import solved_case
 
 ROOT2 = math.sqrt(2.0)
 
@@ -391,7 +401,7 @@ def test_operators_carry_the_lattice_a_fresh_search_finds(pair, factor):
     for name, result in results.items():
         fresh = _rebuilt(result)
         assert result.lines == fresh.lines, name
-        assert result._indices == fresh._indices, name
+        assert result._keys.tolist() == fresh._keys.tolist(), name
         if fresh.omega0 is None:
             assert result.omega0 is None, name
         else:
@@ -401,7 +411,7 @@ def test_operators_carry_the_lattice_a_fresh_search_finds(pair, factor):
 def test_from_lines_searches_once(lattice_searches):
     f = LineSpectrum.from_lines([(0.0, 1.0), (2.0, 1.0j), (1.0, 0.0), (3.0, 2.0)])
     assert lattice_searches == [3]
-    assert f._indices == (0, 2, 3)
+    assert f._keys.tolist() == [0, 2, 3]
     LineSpectrum.dc(4.0)
     LineSpectrum.zero()
     assert lattice_searches == [3]
@@ -420,11 +430,11 @@ def test_operators_on_one_lattice_do_not_search(lattice_searches):
 def test_dropped_lines_coarsen_the_lattice():
     f = LineSpectrum.from_lines([(1.0, 1.0), (2.0, 1.0), (4.0, 1.0)])
     g = f - LineSpectrum.tone(1.0)
-    assert g._indices == (1, 2)
+    assert g._keys.tolist() == [1, 2]
     assert g.omega0 == 2.0
-    assert f.multiply(f)._indices == (0, 1, 2, 3, 4, 5, 6, 8)
+    assert f.multiply(f)._keys.tolist() == [0, 1, 2, 3, 4, 5, 6, 8]
     cos2 = LineSpectrum.tone(1.5).multiply(LineSpectrum.tone(1.5))
-    assert (cos2.omega0, cos2._indices) == (3.0, (0, 1))
+    assert (cos2.omega0, cos2._keys.tolist()) == (3.0, [0, 1])
 
 
 def test_sum_of_incommensurate_tones_rejected():
@@ -473,3 +483,30 @@ def test_overflowing_amplitudes_raise_value_error():
             big.scale(1e10)
         with pytest.raises(ValueError, match="amplitude must be finite"):
             LineSpectrum.tone(1e10, 1e300).derivative()
+
+
+# ----------------------------------------------------------------------
+# one array representation
+
+
+def test_pipeline_builds_no_line_objects(rng, line_objects):
+    for _ in range(50):
+        sol = solved_case(rng, allow_dc=True)
+        sol = solve(sol.netlist, sol.source)
+        instantaneous(sol)
+        real_imaginary_power(sol.source, sol.port_current)
+        scaled(sol, np.linspace(0.0, 1.0, 8), [0.0, 0.5])
+        verify_balances(sol)
+        budeanu(sol)
+    assert line_objects == []
+
+
+def test_omegas_and_amplitudes_are_writable_copies():
+    f = LineSpectrum.from_lines([(0.0, 1.0), (1.0, 2.0j), (3.0, -1.0)])
+    omegas, amps = f.omegas, f.amplitudes
+    omegas[:] = 7.0
+    amps[:] = 0.0
+    assert f.omegas.tolist() == [0.0, 1.0, 3.0]
+    assert f.amplitudes.tolist() == [1.0, 2.0j, -1.0]
+    assert f.lines == (SpectralLine(0.0, 1.0), SpectralLine(1.0, 2.0j), SpectralLine(3.0, -1.0))
+    assert f == LineSpectrum.from_lines([(0.0, 1.0), (1.0, 2.0j), (3.0, -1.0)])
