@@ -27,8 +27,8 @@ DRIFT_RTOL = 1e-6
 # Steps per block of the block-state-space recursion: each block's forced
 # response is one product with a Toeplitz matrix of this order.
 _BLOCK = 256
-# Blocks per chunk of source samples evaluated at once; bounds the
-# (samples x lines) temporaries of LineSpectrum.evaluate.
+# Blocks per chunk of source samples formed at once; bounds the sample
+# buffer of _uniform_samples and the temporaries of one block-stepper call.
 _CHUNK_BLOCKS = 64
 
 
@@ -56,10 +56,42 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (math.isfinite(self.half_width) and self.half_width > 0.0):
             raise ValueError(f"half_width must be > 0, got {self.half_width!r}")
+        if isinstance(self.panels, bool) or not isinstance(self.panels, (int, np.integer)):
+            raise ValueError(f"panels must be an integer, got {self.panels!r}")
         if self.panels < 2 or self.panels % 2 != 0:
             raise ValueError(f"panels must be even and >= 2, got {self.panels!r}")
         if self.rule != "simpson":
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
+
+
+# ----------------------------------------------------------------------
+# uniform sampling
+
+
+def _uniform_samples(f: LineSpectrum, t0, h, lo, hi) -> np.ndarray:
+    """Samples f(t0 + h*k) for lo <= k < hi, by per-line rotation.
+
+    With k = a*_BLOCK + b, line omega contributes
+    Re{A e^{j omega (t0 + h*_BLOCK*a)} e^{j omega h b}}: one complex
+    exponential per line and block row a, and one per line and offset
+    b < _BLOCK, instead of one per line and sample.  Each factor is formed
+    directly from its own time, so no phase error accumulates along the
+    grid, and the products are summed line by line in real arithmetic, so
+    a sample depends on k alone, not on the range it was requested in.
+    """
+    first, last = lo // _BLOCK, -(-hi // _BLOCK)
+    omegas, amps = f.omegas, f.amplitudes
+    coarse = np.multiply.outer(omegas, t0 + (h * _BLOCK) * np.arange(first, last))
+    fine = np.multiply.outer(omegas, h * np.arange(_BLOCK))
+    cos, sin = np.cos(coarse), np.sin(coarse)
+    anchor_re = amps.real[:, None] * cos - amps.imag[:, None] * sin
+    anchor_im = amps.real[:, None] * sin + amps.imag[:, None] * cos
+    fine_re, fine_im = np.cos(fine), np.sin(fine)
+    out = np.zeros((last - first, _BLOCK))
+    for k in range(omegas.size):
+        out += np.multiply.outer(anchor_re[k], fine_re[k])
+        out -= np.multiply.outer(anchor_im[k], fine_im[k])
+    return out.ravel()[lo - first * _BLOCK:hi - first * _BLOCK]
 
 
 # ----------------------------------------------------------------------
@@ -225,8 +257,11 @@ def ode_transient(net: Netlist, source: LineSpectrum, periods=50, steps_per_peri
     block-state-space form of Burrus (IEEE Trans. Circuit Theory, 1971):
     each block of 256 steps is a few matrix products, and only the
     hop from one block's start state to the next is sequential.  The
-    returned signal starts at t = 0 and has periods*steps_per_period + 1
-    samples.
+    source is sampled at t = dt*k by per-line rotation
+    (_uniform_samples), one chunk of _CHUNK_BLOCKS blocks at a time:
+    one complex exponential per line and block of samples, not one per
+    line and sample.  The returned signal starts at t = 0 and has
+    periods*steps_per_period + 1 samples.
     """
     if source.unit != VOLT:
         raise ValueError(f"source must be tagged {VOLT!r}, got {source.unit!r}")
@@ -272,7 +307,7 @@ def ode_transient(net: Netlist, source: LineSpectrum, periods=50, steps_per_peri
     )
 
     n_steps = periods * steps_per_period
-    x = start_drive * source.evaluate(dt)
+    x = start_drive * _uniform_samples(source, 0.0, dt, 1, 2)[0]
     port = np.empty(n_steps + 1)
     port[0] = 0.0
     port[1] = x[src]
@@ -280,7 +315,7 @@ def ode_transient(net: Netlist, source: LineSpectrum, periods=50, steps_per_peri
     chunk = _CHUNK_BLOCKS * _BLOCK
     for lo in range(2, n_steps + 1, chunk):
         hi = min(lo + chunk, n_steps + 1)
-        port[lo:hi], z = advance(z, source.evaluate(dt * np.arange(lo, hi)))
+        port[lo:hi], z = advance(z, _uniform_samples(source, 0.0, dt, lo, hi))
     x = z[:size]
 
     def volt_of(name):
@@ -356,17 +391,22 @@ def quadrature_analytic(f: LineSpectrum, p: ComplexTimePoint,
 
     Converges to the closed-form analytic signal as the window grows,
     with an O(1/half_width) truncation tail; see quadrature_tail_bound.
-    Needs p.s > 0 so the kernel stays smooth on the whole window.
+    Needs p.s > 0 so the kernel stays smooth on the whole window.  The
+    nodes are t' = t - half_width + h*k, k = 0 .. panels, and f is
+    sampled there by per-line rotation (_uniform_samples); the kernel's
+    denominator uses the same nodes.
     """
     if p.s <= 0.0:
         raise ValueError("quadrature needs s > 0; the s = 0 kernel is singular")
-    grid = np.linspace(p.t - cfg.half_width, p.t + cfg.half_width, cfg.panels + 1)
+    h = (2.0 * cfg.half_width) / cfg.panels
+    t0 = p.t - cfg.half_width
+    grid = t0 + h * np.arange(cfg.panels + 1)
     tau = p.t + 1j * p.s
-    values = (1j / math.pi) * f.evaluate(grid) / (tau - grid)
+    samples = _uniform_samples(f, t0, h, 0, cfg.panels + 1)
+    values = (1j / math.pi) * samples / (tau - grid)
     weights = np.ones(cfg.panels + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    h = (2.0 * cfg.half_width) / cfg.panels
     return complex(np.sum(weights * values) * h / 3.0)
 
 
@@ -380,11 +420,11 @@ def quadrature_tail_bound(f: LineSpectrum, p: ComplexTimePoint,
     """
     width = cfg.half_width
     bound = 0.0
-    for ln in f.lines:
-        if ln.omega == 0.0:
-            bound += 2.0 * abs(ln.amplitude) * p.s / width
+    for omega, amplitude in zip(f.omegas.tolist(), f.amplitudes.tolist()):
+        if omega == 0.0:
+            bound += 2.0 * abs(amplitude) * p.s / width
         else:
-            bound += 4.0 * abs(ln.amplitude) / (ln.omega * width)
+            bound += 4.0 * abs(amplitude) / (omega * width)
     return bound / math.pi
 
 

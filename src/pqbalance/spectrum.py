@@ -235,6 +235,15 @@ class LineSpectrum:
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "omega0", omega0)
 
+    def __setstate__(self, state):
+        """Restore a copied or unpickled spectrum with its line arrays read-only.
+
+        ``copy.deepcopy`` and pickle hand back writable array copies.
+        """
+        self.__dict__.update(state)
+        for arr in (self._keys, self._omegas, self._amps):
+            arr.setflags(write=False)
+
     # ------------------------------------------------------------------
     # constructors
 

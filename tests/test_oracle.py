@@ -1,11 +1,14 @@
 """Independent validators: time stepping, FFT quadrature companion, kernels."""
 
+import ast
+import inspect
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from pqbalance import oracle
 from pqbalance.network import (
     Branch,
     CAPACITOR,
@@ -26,7 +29,7 @@ from pqbalance.oracle import (
     quadrature_analytic,
     quadrature_tail_bound,
 )
-from pqbalance.oracle import _factored, _time_domain_matrices
+from pqbalance.oracle import _factored, _time_domain_matrices, _uniform_samples
 from pqbalance.spectrum import AMPERE, VOLT, ComplexTimePoint, LineSpectrum
 
 from conftest import random_netlist, random_source
@@ -142,6 +145,65 @@ def test_ode_accepts_numpy_integer_counts(flicker_netlist):
 
 
 # ----------------------------------------------------------------------
+# uniform sampling by per-line rotation
+
+
+def rotation_bound(source, times):
+    """4 eps sum |A_k| (1 + omega_k t_max): rounding of the phases and the sum."""
+    t_max = float(np.max(np.abs(times), initial=0.0))
+    eps = np.finfo(float).eps
+    return 4.0 * eps * float(np.sum(np.abs(source.amplitudes) * (1.0 + source.omegas * t_max)))
+
+
+def assert_samples_match_evaluate(source, t0, h, lo, hi):
+    got = _uniform_samples(source, t0, h, lo, hi)
+    times = t0 + h * np.arange(lo, hi)
+    assert got.shape == times.shape
+    assert np.max(np.abs(got - source.evaluate(times)), initial=0.0) \
+        <= rotation_bound(source, times)
+
+
+def test_uniform_samples_match_evaluate(flicker_source):
+    # the oracle's own grid: 50 periods of 8192 steps
+    rng = np.random.default_rng(14142135)
+    for source in (flicker_source, random_source(rng, allow_dc=True)):
+        assert_samples_match_evaluate(source, 0.0, source.period / 8192, 0, 50 * 8192 + 1)
+    # shorter grids spanning the same 50 periods, and shifted quadrature-style windows
+    for _ in range(300):
+        source = random_source(rng, allow_dc=True)
+        period = source.period
+        assert_samples_match_evaluate(source, 0.0, period / 64, 0, 50 * 64 + 1)
+        t0 = rng.uniform(-25.0, 25.0) * period
+        assert_samples_match_evaluate(source, t0, period / 128, 0, 2049)
+
+
+def test_uniform_samples_do_not_depend_on_the_range():
+    rng = np.random.default_rng(27182818)
+    for _ in range(20):
+        source = random_source(rng, allow_dc=True)
+        t0, h = rng.uniform(-10.0, 10.0), source.period / 1000
+        wide = _uniform_samples(source, t0, h, 0, 6000)
+        ranges = [(0, 1), (1, 2), (255, 257), (256, 512), (5999, 6000), (2, 6000)]
+        for _ in range(30):
+            lo = int(rng.integers(0, 6000))
+            ranges.append((lo, int(rng.integers(lo, 6001))))
+        for lo, hi in ranges:
+            assert np.array_equal(_uniform_samples(source, t0, h, lo, hi), wide[lo:hi])
+
+
+def test_uniform_samples_edge_cases(flicker_source):
+    dc = LineSpectrum.dc(-2.5, VOLT)
+    assert np.array_equal(_uniform_samples(dc, 3.0, 0.1, 5, 700), np.full(695, -2.5))
+    zero = LineSpectrum.zero(VOLT)
+    assert np.array_equal(_uniform_samples(zero, 0.0, 0.1, 0, 300), np.zeros(300))
+    h = flicker_source.period / 1000
+    for lo in (0, 7, 256, 300):
+        assert _uniform_samples(flicker_source, 0.0, h, lo, lo).shape == (0,)
+    for lo, hi in ((0, 1), (3, 40), (250, 260), (257, 511), (513, 2000), (1000, 1001)):
+        assert_samples_match_evaluate(flicker_source, 1.5, h, lo, hi)
+
+
+# ----------------------------------------------------------------------
 # block stepping against the per-step recursion
 
 
@@ -160,8 +222,7 @@ def loop_transient(net, source, periods, steps_per_period):
     drive = main(rhs_vec)
 
     n_steps = periods * steps_per_period
-    times = dt * np.arange(n_steps + 1)
-    u = source.evaluate(times)
+    u = _uniform_samples(source, 0.0, dt, 0, n_steps + 1)
     x_prev = np.zeros(g.shape[0])
     x = start_drive * u[1]
     port = np.empty(n_steps + 1)
@@ -180,7 +241,7 @@ def loop_transient(net, source, periods, steps_per_period):
             b.id: float(volt_of(b.nodes[0]) - volt_of(b.nodes[1]))
             for b in net.by_kind(CAPACITOR)
         },
-        time=float(times[-1]),
+        time=float(dt * n_steps),
     )
     return port, state
 
@@ -326,12 +387,25 @@ def test_quadrature_requires_positive_s():
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(half_width=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="panels must be even and >= 2"):
         QuadratureConfig(half_width=10.0, panels=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="panels must be even and >= 2"):
         QuadratureConfig(half_width=10.0, panels=0)
     with pytest.raises(ValueError):
         QuadratureConfig(half_width=10.0, rule="gauss")
+
+
+@pytest.mark.parametrize("panels", [64.0, "8", True, 8.5])
+def test_quadrature_panels_must_be_an_integer(panels):
+    with pytest.raises(ValueError, match="^panels must be an integer"):
+        QuadratureConfig(half_width=10.0, panels=panels)
+
+
+def test_quadrature_panels_accept_numpy_integers():
+    assert QuadratureConfig(half_width=10.0, panels=np.int64(64)).panels == 64
+    for panels in (np.int32(3), np.int64(0)):
+        with pytest.raises(ValueError, match="panels must be even and >= 2"):
+            QuadratureConfig(half_width=10.0, panels=panels)
 
 
 # ----------------------------------------------------------------------
@@ -355,3 +429,30 @@ def test_numeric_mean_of_flicker_power(flicker_netlist, flicker_source):
     n = 4096
     sig = p.sample(0.0, p.period / n, n)
     assert numeric_mean(sig) == pytest.approx(10.05, abs=1e-6)
+
+
+# ----------------------------------------------------------------------
+# independence from the frequency-domain solve
+
+
+def test_oracle_shares_nothing_with_the_frequency_domain_solve():
+    tree = ast.parse(inspect.getsource(oracle))
+    from_network = set()
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            named |= names | {alias.asname for alias in node.names if alias.asname}
+            if node.module in ("network", "pqbalance.network"):
+                from_network |= names
+            elif node.module in (None, "pqbalance"):
+                assert "network" not in names
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("pqbalance") for a in node.names)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert from_network == {"CAPACITOR", "INDUCTOR", "RESISTOR", "Netlist",
+                            "SingularNetworkError"}
+    assert not named & {"solve", "solve_frequency", "_stamps", "_Stamps"}

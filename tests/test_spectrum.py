@@ -1,6 +1,8 @@
 """Line-spectrum arithmetic: construction, evaluation, and exact operators."""
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -8,6 +10,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pqbalance.network import solve
+from pqbalance.oracle import (
+    QuadratureConfig,
+    TransientWarning,
+    fft_hilbert,
+    ode_steady_state,
+    quadrature_analytic,
+    quadrature_tail_bound,
+)
 from pqbalance.power import (
     budeanu,
     instantaneous,
@@ -490,6 +500,7 @@ def test_overflowing_amplitudes_raise_value_error():
 
 
 def test_pipeline_builds_no_line_objects(rng, line_objects):
+    # the power layer and the oracle alike
     for _ in range(50):
         sol = solved_case(rng, allow_dc=True)
         sol = solve(sol.netlist, sol.source)
@@ -498,7 +509,28 @@ def test_pipeline_builds_no_line_objects(rng, line_objects):
         scaled(sol, np.linspace(0.0, 1.0, 8), [0.0, 0.5])
         verify_balances(sol)
         budeanu(sol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TransientWarning)
+            ode_steady_state(sol.netlist, sol.source, periods=10, steps_per_period=64)
+        period = sol.source.period or 1.0
+        fft_hilbert(sol.source.sample(0.0, period / 64, 64))
+        point, cfg = ComplexTimePoint(0.3, 0.5), QuadratureConfig(10.0 * period, panels=64)
+        quadrature_analytic(sol.source, point, cfg)
+        quadrature_tail_bound(sol.source, point, cfg)
     assert line_objects == []
+
+
+def test_copies_keep_their_arrays_read_only():
+    f = LineSpectrum.from_lines([(0.0, 1.0), (1.0, 2.0j), (3.0, -1.0)])
+    f.lines  # a cached tuple travels with the copy
+    for g in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g == f
+        assert g.omega0 == f.omega0
+        assert g.evaluate(0.0) == f.evaluate(0.0)
+        for arr in (g._keys, g._omegas, g._amps):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 99
+        assert g.evaluate(0.0) == f.evaluate(0.0)
 
 
 def test_omegas_and_amplitudes_are_writable_copies():
