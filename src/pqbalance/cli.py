@@ -82,7 +82,13 @@ class AnalysisConfig:
 def _require_number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _parse_grid(data, path, nonnegative=False):
@@ -226,11 +232,26 @@ def _character(q_total, s_apparent) -> str:
     return "inductive" if q_total > 0.0 else "capacitive"
 
 
+def _scale_file_names(s_arr) -> list[str]:
+    """One per-scale CSV name per value; ValueError when two values share one."""
+    names = {}
+    for s_val in s_arr:
+        name = f"scaled_s{format(float(s_val), '.6g')}.csv"
+        if name in names:
+            raise ValueError(
+                f"s_grid values {names[name]!r} and {float(s_val)!r} "
+                f"would both be written to {name}"
+            )
+        names[name] = float(s_val)
+    return list(names)
+
+
 def run_analyze(cfg: AnalysisConfig, out_dir) -> int:
     """Write instantaneous.csv, per-scale CSVs, summary.json, balance.json."""
+    s_arr = cfg.scale_grid()
+    scale_files = _scale_file_names(s_arr) if "csv" in cfg.formats else []
     sol = solve(cfg.netlist, cfg.source)
     t_arr = cfg.time_grid()
-    s_arr = cfg.scale_grid()
     out = Path(out_dir)
     # both output sets need these two; build them once
     iset = instantaneous(sol)
@@ -253,9 +274,9 @@ def run_analyze(cfg: AnalysisConfig, out_dir) -> int:
                 q_imag.evaluate(t_arr),
             ],
         )
-        for k, s_val in enumerate(s_arr):
+        for k, name in enumerate(scale_files):
             _write_csv(
-                out / f"scaled_s{format(float(s_val), '.6g')}.csv",
+                out / name,
                 ["t", "W_m", "W_e", "W", "X", "P", "Q", "P_d"],
                 [
                     t_arr,
@@ -330,6 +351,16 @@ def run_verify(cfg: AnalysisConfig, tol) -> int:
 # argument handling
 
 
+def _tolerance(text) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return tol
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pqbalance",
@@ -350,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="restrict outputs (overrides config formats)",
         )
     verify.add_argument(
-        "--tol", type=float, default=1e-9,
+        "--tol", type=_tolerance, default=1e-9,
         help="relative residual tolerance (default 1e-9)",
     )
     return parser

@@ -16,6 +16,7 @@ voltage and current as an exact :class:`~pqbalance.spectrum.LineSpectrum`.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -286,8 +287,10 @@ def solve_frequency(net: Netlist, omega, v_port) -> BranchPhasors:
     Raises SingularNetworkError when the nodal matrix is singular at this
     frequency (for example a subnetwork isolated by capacitors at DC).
     """
-    if omega < 0.0:
-        raise ValueError(f"omega must be >= 0, got {omega!r}")
+    if not (math.isfinite(omega) and omega >= 0.0):
+        raise ValueError(f"omega must be finite and >= 0, got {omega!r}")
+    if not cmath.isfinite(v_port):
+        raise ValueError(f"v_port must be finite, got {v_port!r}")
     stamps = net._stamps
     a = stamps.g + 1j * omega * stamps.c
     rhs = np.zeros(a.shape[0], dtype=complex)

@@ -51,7 +51,6 @@ class QuadratureConfig:
 
     half_width: float
     panels: int = 8192
-    rule: str = "simpson"
 
     def __post_init__(self):
         if not (math.isfinite(self.half_width) and self.half_width > 0.0):
@@ -60,8 +59,6 @@ class QuadratureConfig:
             raise ValueError(f"panels must be an integer, got {self.panels!r}")
         if self.panels < 2 or self.panels % 2 != 0:
             raise ValueError(f"panels must be even and >= 2, got {self.panels!r}")
-        if self.rule != "simpson":
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ products, periodic means, time derivatives and the analytic continuation
 of the signal into exact line-level operations instead of discretized
 ones.  ``SpectralLine`` objects are built only when ``lines`` is read.
 
-The lattice is searched for once, when a spectrum is built from user
+The lattice is searched for once, in the one constructor that takes user
 frequencies: a rational-ratio search finds ``omega0`` and each line's
 integer index ``n_k``.  Every operator then carries ``(omega0, n_k)`` to
 its result instead of searching again.  Scaling, negation, the Hilbert
@@ -26,7 +26,8 @@ bases are searched again, over both operands' frequencies together.
 The analytic signal of ``f`` is ``A0 + sum_k A_k exp(j w_k t)``; a constant
 keeps its full weight, so the analytic signal of a DC value ``c`` is ``c``
 (zero quadrature part).  Extending time to ``t + j s`` with ``s >= 0``
-multiplies each line by the low-pass factor ``exp(-w_k s)``.
+multiplies each line by the low-pass factor ``exp(-w_k s)``; ``evaluate``,
+``analytic_at`` and ``analytic_grid`` share one kernel for that formula.
 """
 
 from __future__ import annotations
@@ -184,19 +185,25 @@ class SampledSignal:
 class LineSpectrum:
     """A real multi-tone signal as an immutable, lattice-aligned line spectrum.
 
-    ``lines`` are strictly ascending in frequency with no duplicates; any DC
-    line comes first and is purely real.  ``unit`` is a free-form tag; the
-    pipeline uses ``volt``, ``ampere``, ``watt`` and ``joule``.  Use
-    :meth:`from_lines` to build a spectrum from arbitrary (omega, amplitude)
-    pairs; the raw constructor expects already well-formed lines.
+    ``LineSpectrum(lines, unit)`` takes (omega, amplitude) pairs or
+    ``SpectralLine`` objects in any order; :meth:`from_lines` is the same
+    call.  Frequencies within 1e-9 relative of the same lattice multiple are
+    merged by summing amplitudes in input order (the first-seen frequency is
+    kept, which makes repeated reconstruction bit-stable), exact zeros are
+    dropped, and a DC amplitude may carry an imaginary part of at most 1e-9
+    of the largest amplitude, which is discarded.  ``lines`` are then
+    strictly ascending in frequency; any DC line comes first and is purely
+    real.  ``unit`` is a free-form tag; the pipeline uses ``volt``,
+    ``ampere``, ``watt`` and ``joule``.
 
     The lines are stored as three read-only arrays in line order: ``_keys``
     holds each line's integer multiple of the lattice base ``omega0`` (0
     for DC; ``omega0`` is None without positive lines), ``_omegas`` the
     frequencies and ``_amps`` the amplitudes.  ``lines`` is built from them
-    on first read.  Both the raw constructor and :meth:`from_lines` search
-    for the lattice once; the operators derive their results' lattices
-    from their operands' and search only when two operands' bases differ.
+    on first read.  The constructor searches for the lattice once; the
+    operators derive their results' lattices from their operands' and store
+    them through the same ``_store`` without a search, unless two
+    operands' bases differ.
 
     Instances are immutable after construction and safe to share between
     threads.
@@ -209,84 +216,34 @@ class LineSpectrum:
     _omegas: np.ndarray = field(init=False, compare=False, repr=False)
     _amps: np.ndarray = field(init=False, compare=False, repr=False)
 
-    def __init__(self, lines, unit=""):
-        lines = tuple(
-            ln if isinstance(ln, SpectralLine) else SpectralLine(*ln)
-            for ln in lines
-        )
-        omegas = np.array([ln.omega for ln in lines], dtype=float)
-        if np.any(omegas[1:] <= omegas[:-1]):
-            raise ValueError("line frequencies must be strictly ascending")
-        dc = int(omegas.size > 0 and omegas[0] == 0.0)
-        base, found = _find_lattice(omegas[dc:].tolist())
-        self._hold(
-            np.array([0] * dc + found, dtype=np.int64),
-            omegas,
-            np.array([ln.amplitude for ln in lines], dtype=complex),
-            unit,
-            base,
-        )
-
-    def _hold(self, keys, omegas, amps, unit, omega0):
-        """Store the line arrays read-only, with the unit and lattice base."""
-        for name, arr in (("_keys", keys), ("_omegas", omegas), ("_amps", amps)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "omega0", omega0)
-
-    def __setstate__(self, state):
-        """Restore a copied or unpickled spectrum with its line arrays read-only.
-
-        ``copy.deepcopy`` and pickle hand back writable array copies.
-        """
-        self.__dict__.update(state)
-        for arr in (self._keys, self._omegas, self._amps):
-            arr.setflags(write=False)
-
-    # ------------------------------------------------------------------
-    # constructors
-
-    @classmethod
-    def from_lines(cls, pairs, unit="", prune=False):
-        """Build a spectrum from (omega, amplitude) pairs or SpectralLine objects.
-
-        Frequencies within 1e-9 relative of the same lattice multiple are
-        merged by summing amplitudes (the first-seen frequency is kept, which
-        makes repeated reconstruction bit-stable); with ``prune=True`` lines
-        below PRUNE_RTOL of the largest amplitude are dropped.  Exact zeros
-        are always dropped.
-        """
-        raw = []
-        for entry in pairs:
+    def __init__(self, lines=(), unit=""):
+        omegas, amps = [], []
+        for entry in lines:
             if isinstance(entry, SpectralLine):
-                raw.append((entry.omega, entry.amplitude))
+                omega, amplitude = entry.omega, entry.amplitude
             else:
                 omega, amplitude = entry
-                raw.append((float(omega), complex(amplitude)))
-        for omega, amplitude in raw:
+                omega = float(omega)
             if not math.isfinite(omega) or omega < 0.0:
                 raise ValueError(f"omega must be finite and >= 0, got {omega!r}")
-            if not (math.isfinite(amplitude.real) and math.isfinite(amplitude.imag)):
-                raise ValueError("amplitude must be finite")
-        base, indices = _find_lattice([w for w, _ in raw if w > 0.0])
-        pos = iter(indices)
-        keys, first, amps = _sum_by_key(
-            np.array([0 if w == 0.0 else next(pos) for w, _ in raw], dtype=np.int64),
-            [a.real for _, a in raw],
-            [a.imag for _, a in raw],
+            omegas.append(omega)
+            amps.append(complex(amplitude))
+        base, found = _find_lattice([w for w in omegas if w > 0.0])
+        found = iter(found)
+        keys, first, sums = _sum_by_key(
+            np.array([next(found) if w > 0.0 else 0 for w in omegas], dtype=np.int64),
+            [a.real for a in amps],
+            [a.imag for a in amps],
         )
-        omegas = np.array([w for w, _ in raw], dtype=float)[first]
-        return cls._from_keys(keys, omegas, amps, unit, base, prune)
+        self._store(keys, np.array(omegas, dtype=float)[first], sums, unit, base)
 
-    @classmethod
-    def _from_keys(cls, keys, omegas, amps, unit, base, prune=False):
-        """Spectrum of lines at ascending distinct lattice indices ``keys`` of ``base``.
+    def _store(self, keys, omegas, amps, unit, base, prune=False):
+        """Hold lines at ascending distinct lattice indices ``keys`` of ``base``.
 
         Key 0 is the DC line.  Exact zeros, and with ``prune`` lines below
         PRUNE_RTOL of the largest amplitude, are dropped; the base then grows
         by the gcd of the surviving keys.  ``amps`` must be the caller's own
-        array: its DC entry is set to its real part.
+        array: its DC entry is set to its real part.  Returns ``self``.
         """
         if keys.size:
             if not np.all(np.isfinite(amps)):
@@ -303,9 +260,29 @@ class LineSpectrum:
             if shrink > 1:
                 keys //= shrink
                 base *= shrink
-        self = object.__new__(cls)
-        self._hold(keys, omegas, amps, unit, base if keys.size and keys[-1] > 0 else None)
+        for name, arr in (("_keys", keys), ("_omegas", omegas), ("_amps", amps)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "omega0", base if keys.size and keys[-1] > 0 else None)
         return self
+
+    def __setstate__(self, state):
+        """Restore a copied or unpickled spectrum with its line arrays read-only.
+
+        ``copy.deepcopy`` and pickle hand back writable array copies.
+        """
+        self.__dict__.update(state)
+        for arr in (self._keys, self._omegas, self._amps):
+            arr.setflags(write=False)
+
+    # ------------------------------------------------------------------
+    # constructors
+
+    @classmethod
+    def from_lines(cls, pairs, unit=""):
+        """The same as ``LineSpectrum(pairs, unit)``."""
+        return cls(pairs, unit)
 
     @classmethod
     def zero(cls, unit=""):
@@ -408,16 +385,27 @@ class LineSpectrum:
     # ------------------------------------------------------------------
     # evaluation
 
-    def evaluate(self, t):
-        """Signal value(s) at time ``t`` (scalar or array), always real."""
-        t_arr = np.asarray(t, dtype=float)
+    def _analytic(self, t, s):
+        """``A0 + sum_k A_k e^{j w_k t} e^{-w_k s}`` for a float array ``t``.
+
+        A scalar ``s >= 0`` gives shape ``t.shape`` from one matrix-vector
+        product (at ``s == 0`` on the undamped amplitudes); a 1-d ``s``
+        gives shape ``t.shape + s.shape``.
+        """
         dc, a0 = self._split()
         if self._keys.size == dc:
-            out = np.full(t_arr.shape, a0)
-        else:
-            rotate = np.exp(1j * np.multiply.outer(t_arr, self._omegas[dc:]))
-            out = a0 + (rotate @ self._amps[dc:]).real
-        return float(out) if t_arr.ndim == 0 else out
+            return np.full(t.shape + np.shape(s), a0, dtype=complex)
+        omegas, amps = self._omegas[dc:], self._amps[dc:]
+        if np.ndim(s):
+            amps = amps[:, None] * np.exp(-np.multiply.outer(omegas, s))
+        elif s:
+            amps = amps * np.exp(-omegas * s)
+        return a0 + np.exp(1j * np.multiply.outer(t, omegas)) @ amps
+
+    def evaluate(self, t):
+        """Signal value(s) at time ``t`` (scalar or array), always real."""
+        out = self._analytic(np.asarray(t, dtype=float), 0.0).real
+        return float(out) if out.ndim == 0 else out
 
     def analytic_at(self, t, s=0.0):
         """Analytic signal at complex time t + j*s (``s >= 0``).
@@ -427,30 +415,15 @@ class LineSpectrum:
         """
         if s < 0.0:
             raise ValueError(f"s must be >= 0, got {s!r}")
-        t_arr = np.asarray(t, dtype=float)
-        dc, a0 = self._split()
-        if self._keys.size == dc:
-            out = np.full(t_arr.shape, a0, dtype=complex)
-        else:
-            omegas = self._omegas[dc:]
-            damped = self._amps[dc:] * np.exp(-omegas * s)
-            rotate = np.exp(1j * np.multiply.outer(t_arr, omegas))
-            out = a0 + rotate @ damped
-        return complex(out) if t_arr.ndim == 0 else out
+        out = self._analytic(np.asarray(t, dtype=float), s)
+        return complex(out) if out.ndim == 0 else out
 
     def analytic_grid(self, t_grid, s_grid) -> np.ndarray:
         """Analytic signal on the outer grid; result shape (len(t), len(s))."""
-        t_arr = np.asarray(t_grid, dtype=float)
-        s_arr = np.asarray(s_grid, dtype=float)
+        s_arr = np.asarray(s_grid, dtype=float).ravel()
         if np.any(s_arr < 0.0):
             raise ValueError("all scale values must be >= 0")
-        dc, a0 = self._split()
-        if self._keys.size == dc:
-            return np.full((t_arr.size, s_arr.size), a0, dtype=complex)
-        omegas = self._omegas[dc:]
-        rotate = np.exp(1j * np.outer(t_arr, omegas))
-        damp = np.exp(-np.outer(omegas, s_arr))
-        return a0 + rotate @ (self._amps[dc:, None] * damp)
+        return self._analytic(np.asarray(t_grid, dtype=float).ravel(), s_arr)
 
     def sample(self, t0, dt, n) -> SampledSignal:
         """Uniform samples at ``t0 + k*dt`` for ``k = 0 .. n-1``."""
@@ -471,12 +444,12 @@ class LineSpectrum:
     # ------------------------------------------------------------------
     # line-level operators
 
-    # The operators silence numpy's overflow warnings: _from_keys raises
+    # The operators silence numpy's overflow warnings: _store raises
     # ValueError for any non-finite amplitude they produce.
 
     def _relined(self, amplitudes, unit, start=0) -> "LineSpectrum":
         """This spectrum's lines from ``start`` on, on its lattice, with new amplitudes."""
-        return LineSpectrum._from_keys(
+        return object.__new__(LineSpectrum)._store(
             self._keys[start:], self._omegas[start:], amplitudes, unit, self.omega0
         )
 
@@ -575,7 +548,7 @@ class LineSpectrum:
             # one-sided amplitude: 2*c_n for n > 0, the real part of c_0 for DC
             amps = np.where(keys > 0, 2.0 * conv, conv.real)
         omegas = keys * (0.0 if base is None else base)
-        return LineSpectrum._from_keys(keys, omegas, amps, unit, base, prune=True)
+        return object.__new__(LineSpectrum)._store(keys, omegas, amps, unit, base, prune=True)
 
     # ------------------------------------------------------------------
     # operators
@@ -590,7 +563,7 @@ class LineSpectrum:
             np.concatenate((keys_a, keys_b)), amps.real, amps.imag
         )
         omegas = np.concatenate((self._omegas, other._omegas))[first]
-        return LineSpectrum._from_keys(keys, omegas, amps, unit, base)
+        return object.__new__(LineSpectrum)._store(keys, omegas, amps, unit, base)
 
     def __sub__(self, other):
         if not isinstance(other, LineSpectrum):

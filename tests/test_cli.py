@@ -115,6 +115,26 @@ def test_grid_validation_messages(tmp_path, capsys):
     assert "must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, where",
+    [
+        ({"t_grid": {"values": [0.0, math.nan]}}, "t_grid.values[1]"),
+        ({"s_grid": {"values": [0.0, math.inf]}}, "s_grid.values[1]"),
+        ({"source": {"lines": [{"amplitude_peak": -math.inf, "omega": 1.0}]}},
+         "source.lines[0].amplitude_peak"),
+        ({"source": {"lines": [{"amplitude_peak": 1.0, "omega": 10**400}]}},
+         "source.lines[0].omega"),
+    ],
+)
+def test_non_finite_config_numbers_rejected(tmp_path, capsys, extra, where):
+    # Python's json reads NaN, Infinity and -Infinity, and 1e400 as inf
+    path = simple_setup(tmp_path, extra=extra)
+    out = tmp_path / "o"
+    assert main(["analyze", "--config", str(path), "--out", str(out)]) == EXIT_INPUT
+    assert f"{where}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_incommensurate_source_rejected(tmp_path, capsys):
     path = simple_setup(
         tmp_path,
@@ -218,6 +238,19 @@ def test_analyze_format_restriction(tmp_path):
     assert {p.name for p in out_json.iterdir()} == {"summary.json", "balance.json"}
 
 
+def test_scale_values_sharing_a_file_name_rejected(tmp_path, capsys):
+    # 1 and 1.0000001 print alike at 6 significant digits
+    path = simple_setup(tmp_path, extra={"s_grid": {"values": [1.0, 1.0000001, 0.5, 0.5]}})
+    out = tmp_path / "o"
+    assert main(["analyze", "--config", str(path), "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "s_grid values 1.0 and 1.0000001 would both be written to scaled_s1.csv" in err
+    assert not out.exists()
+    # no per-scale files, no clash
+    assert main(["analyze", "--config", str(path), "--out", str(out),
+                 "--format", "json"]) == EXIT_OK
+
+
 def test_analyze_runs_are_byte_identical(bench_dir):
     cfg = str(bench_dir / "flicker_config.json")
     out_a, out_b = bench_dir / "a", bench_dir / "b"
@@ -308,6 +341,14 @@ def test_verify_passes_with_default_tolerance(bench_dir, capsys):
     assert all("PASS" in ln for ln in lines)
     assert lines[0].startswith("instantaneous balance: PASS")
     assert lines[3].startswith("budeanu cross-check: PASS")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "one"])
+def test_verify_rejects_a_bad_tolerance(bench_dir, capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(bench_dir / "flicker_config.json"), f"--tol={tol}"])
+    assert exc.value.code == EXIT_INPUT
+    assert "--tol: expected a finite number >= 0" in capsys.readouterr().err
 
 
 def test_verify_fails_with_zero_tolerance(bench_dir, capsys):

@@ -290,6 +290,18 @@ def test_branch_law_check_catches_a_perturbed_voltage(monkeypatch, bid):
         solve_frequency(net, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("omega", [math.nan, math.inf])
+def test_non_finite_frequency_rejected(omega):
+    with pytest.raises(ValueError, match="omega must be finite and >= 0"):
+        driving_point_admittance(series_rl(), omega)
+
+
+@pytest.mark.parametrize("v_port", [math.nan, complex(1.0, math.inf)])
+def test_non_finite_port_voltage_rejected(v_port):
+    with pytest.raises(ValueError, match="v_port must be finite"):
+        solve_frequency(series_rl(), 1.0, v_port)
+
+
 def test_driving_point_admittance_examples():
     r_only = Netlist((Branch("r", RESISTOR, 10.0, ("p", "0")),), ("p", "0"))
     for w in (0.0, 1.0, 7.5):

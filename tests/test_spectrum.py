@@ -37,7 +37,7 @@ from pqbalance.spectrum import (
     SpectralLine,
 )
 
-from conftest import solved_case
+from conftest import random_source, solved_case
 
 ROOT2 = math.sqrt(2.0)
 
@@ -542,3 +542,98 @@ def test_omegas_and_amplitudes_are_writable_copies():
     assert f.amplitudes.tolist() == [1.0, 2.0j, -1.0]
     assert f.lines == (SpectralLine(0.0, 1.0), SpectralLine(1.0, 2.0j), SpectralLine(3.0, -1.0))
     assert f == LineSpectrum.from_lines([(0.0, 1.0), (1.0, 2.0j), (3.0, -1.0)])
+
+
+# ----------------------------------------------------------------------
+# one constructor, one evaluation kernel
+
+
+@st.composite
+def raw_pairs(draw):
+    """Unsorted (omega, amplitude) pairs on one lattice with repeats, zeros and DC."""
+    base = draw(st.floats(0.05, 20.0))
+    amp = st.floats(-10.0, 10.0) | st.just(0.0)
+    pairs = []
+    for n in draw(st.lists(st.integers(0, 8), max_size=8)):
+        if n == 0:
+            pairs.append((0.0, draw(amp)))
+        else:
+            pairs.append((n * base, complex(draw(amp), draw(amp))))
+    if draw(st.booleans()):
+        pairs = [SpectralLine(*p) for p in pairs]
+    return pairs
+
+
+@settings(deadline=None, max_examples=80)
+@given(raw_pairs(), st.sampled_from(["", VOLT]))
+@example([(1.0, 0.0)], "")
+@example([(2.0, 1.0), (0.0, 3.0), (1.0, 0.0), (2.0, -1.0), (0.0, 0.5)], VOLT)
+def test_constructor_is_from_lines(pairs, unit):
+    f = LineSpectrum(pairs, unit)
+    g = LineSpectrum.from_lines(pairs, unit)
+    assert f == g
+    assert f._keys.tolist() == g._keys.tolist()
+    assert f.omega0 == g.omega0
+    assert np.all(np.diff(f.omegas) > 0.0)
+    assert np.all(f.amplitudes != 0.0)
+    plain = [(p.omega, p.amplitude) if isinstance(p, SpectralLine) else p for p in pairs]
+    t = np.linspace(-3.0, 3.0, 11)
+    direct = sum((complex(a) * np.exp(1j * w * t)).real for w, a in plain)
+    scale = max(1.0, sum(abs(a) for _, a in plain))
+    assert np.max(np.abs(f.evaluate(t) - direct)) <= 1e-12 * scale
+
+
+def test_a_zero_line_is_the_zero_spectrum():
+    f = LineSpectrum([(1.0, 0.0)])
+    assert f == LineSpectrum.zero()
+    assert f.is_zero
+    assert f.omega0 is None
+
+
+def test_constructor_tolerates_a_rounded_dc_imaginary_part():
+    f = LineSpectrum([(0.0, 2.0 + 1e-12j), (1.0, 1.0)])
+    assert f.lines[0] == SpectralLine(0.0, 2.0)
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+def test_evaluators_match_the_three_formulas_bit_for_bit():
+    """The shared kernel gives the bits each evaluator's own formula gave."""
+    rng = np.random.default_rng(2024)
+    sources = [LineSpectrum.zero(), LineSpectrum.dc(1.5)]
+    sources += [random_source(rng, allow_dc=True) for _ in range(398)]
+    for f in sources:
+        t = rng.uniform(-50.0, 50.0, 17)
+        t0 = float(t[0])
+        s_grid = np.concatenate(([0.0], rng.uniform(0.0, 3.0, 6)))
+        s = float(s_grid[1])
+        dc = int(f._keys.size > 0 and f._keys[0] == 0)
+        a0 = float(f._amps[0].real) if dc else 0.0
+        w, amps = f._omegas[dc:], f._amps[dc:]
+
+        def evaluate(t):
+            t = np.asarray(t, dtype=float)
+            if w.size == 0:
+                return np.full(t.shape, a0)
+            return a0 + (np.exp(1j * np.multiply.outer(t, w)) @ amps).real
+
+        def analytic_at(t, s):
+            t = np.asarray(t, dtype=float)
+            if w.size == 0:
+                return np.full(t.shape, a0, dtype=complex)
+            return a0 + np.exp(1j * np.multiply.outer(t, w)) @ (amps * np.exp(-w * s))
+
+        def analytic_grid(t, s):
+            if w.size == 0:
+                return np.full((t.size, s.size), a0, dtype=complex)
+            damp = np.exp(-np.outer(w, s))
+            return a0 + np.exp(1j * np.outer(t, w)) @ (amps[:, None] * damp)
+
+        assert _bits(f.evaluate(t0)) == _bits(float(evaluate(t0)))
+        assert _bits(f.evaluate(t)) == _bits(evaluate(t))
+        for at in (0.0, s):
+            assert _bits(f.analytic_at(t0, at)) == _bits(complex(analytic_at(t0, at)))
+            assert _bits(f.analytic_at(t, at)) == _bits(analytic_at(t, at))
+        assert _bits(f.analytic_grid(t, s_grid)) == _bits(analytic_grid(t, s_grid))
