@@ -143,8 +143,12 @@ class Netlist:
             if not isinstance(raw["value"], (int, float)) or isinstance(raw["value"], bool):
                 fail(f"{path}.value", "expected a number")
             try:
+                value = float(raw["value"])
+            except OverflowError:  # an integer beyond the float range
+                fail(f"{path}.value", "expected a finite number")
+            try:
                 branches.append(
-                    Branch(str(raw["id"]), str(raw["kind"]), float(raw["value"]),
+                    Branch(str(raw["id"]), str(raw["kind"]), value,
                            (str(nodes[0]), str(nodes[1])))
                 )
             except ValueError as exc:

@@ -26,10 +26,14 @@ from .spectrum import VOLT, ComplexTimePoint, LineSpectrum, SampledSignal
 DRIFT_RTOL = 1e-6
 # Steps per block of the block-state-space recursion: each block's forced
 # response is one product with a Toeplitz matrix of this order.
-_BLOCK = 256
-# Blocks per chunk of source samples formed at once; bounds the sample
-# buffer of _uniform_samples and the temporaries of one block-stepper call.
-_CHUNK_BLOCKS = 64
+_BLOCK = 64
+# Samples per row of _uniform_samples: one complex exponential per line
+# and row start, and one per line and offset within a row.
+_ROW = 256
+# Source samples formed at once, a whole number of blocks; bounds the
+# sample buffer of _uniform_samples and the temporaries of one
+# block-stepper call.
+_CHUNK = 16384
 
 
 class TransientWarning(UserWarning):
@@ -68,27 +72,27 @@ class QuadratureConfig:
 def _uniform_samples(f: LineSpectrum, t0, h, lo, hi) -> np.ndarray:
     """Samples f(t0 + h*k) for lo <= k < hi, by per-line rotation.
 
-    With k = a*_BLOCK + b, line omega contributes
-    Re{A e^{j omega (t0 + h*_BLOCK*a)} e^{j omega h b}}: one complex
-    exponential per line and block row a, and one per line and offset
-    b < _BLOCK, instead of one per line and sample.  Each factor is formed
+    With k = a*_ROW + b, line omega contributes
+    Re{A e^{j omega (t0 + h*_ROW*a)} e^{j omega h b}}: one complex
+    exponential per line and row a, and one per line and offset
+    b < _ROW, instead of one per line and sample.  Each factor is formed
     directly from its own time, so no phase error accumulates along the
     grid, and the products are summed line by line in real arithmetic, so
     a sample depends on k alone, not on the range it was requested in.
     """
-    first, last = lo // _BLOCK, -(-hi // _BLOCK)
+    first, last = lo // _ROW, -(-hi // _ROW)
     omegas, amps = f.omegas, f.amplitudes
-    coarse = np.multiply.outer(omegas, t0 + (h * _BLOCK) * np.arange(first, last))
-    fine = np.multiply.outer(omegas, h * np.arange(_BLOCK))
+    coarse = np.multiply.outer(omegas, t0 + (h * _ROW) * np.arange(first, last))
+    fine = np.multiply.outer(omegas, h * np.arange(_ROW))
     cos, sin = np.cos(coarse), np.sin(coarse)
     anchor_re = amps.real[:, None] * cos - amps.imag[:, None] * sin
     anchor_im = amps.real[:, None] * sin + amps.imag[:, None] * cos
     fine_re, fine_im = np.cos(fine), np.sin(fine)
-    out = np.zeros((last - first, _BLOCK))
+    out = np.zeros((last - first, _ROW))
     for k in range(omegas.size):
         out += np.multiply.outer(anchor_re[k], fine_re[k])
         out -= np.multiply.outer(anchor_im[k], fine_im[k])
-    return out.ravel()[lo - first * _BLOCK:hi - first * _BLOCK]
+    return out.ravel()[lo - first * _ROW:hi - first * _ROW]
 
 
 # ----------------------------------------------------------------------
@@ -185,6 +189,21 @@ def _factored(mat, rate):
     return solve_with
 
 
+def _flushed(a):
+    """`a` rounded to a C-contiguous float64 copy, subnormal entries set to 0.0.
+
+    A stepper operator whose entries decay past the normal range (the
+    Markov parameters of a capacitor straight across the port do) would
+    otherwise feed subnormals into every product it takes part in, and
+    those run many times slower than normal operands.  Normal entries are
+    kept bit for bit; a flushed entry is below 2.3e-308 in a sum of
+    normal terms.
+    """
+    out = np.array(a, dtype=float, order="C")
+    out[np.abs(out) < np.finfo(float).tiny] = 0.0
+    return out
+
+
 def _block_stepper(step, drive, out):
     """Block-state-space form of z_n = step @ z_{n-1} + drive * u_n.
 
@@ -192,17 +211,26 @@ def _block_stepper(step, drive, out):
     y_{n+k} = z_{n+k}[out] are free @ z + toeplitz @ u_blk, where row k of
     `free` is row `out` of step^(k+1) and `toeplitz` is lower triangular
     in the Markov parameters h_j = (step^j drive)[out]; the state after
-    the block is step^K z + control @ u_blk, with column j of `control`
-    equal to step^(K-1-j) drive (Burrus, "Block implementation of digital
-    filters", IEEE Trans. Circuit Theory, 1971).  Returns a function
-    mapping (z, u) to the outputs at the len(u) steps driven by u and the
-    state after them.
+    the block is hop @ z + control @ u_blk, with hop = step^K and column j
+    of `control` equal to step^(K-1-j) drive (Burrus, "Block
+    implementation of digital filters", IEEE Trans. Circuit Theory,
+    1971).  Returns a function mapping (z, u) to the outputs at the
+    len(u) steps driven by u and the state after them.
 
-    The powers are formed in np.longdouble and rounded once.  Formed in
-    float64, step^K would carry about K roundings along a slowly decaying
-    mode, and every hop would apply that same error again, so it would
-    grow with the hop count.  Where longdouble is float64 the operators
-    are still right, to that lesser accuracy.
+    The block start states z_b = hop @ z_{b-1} + kick_b form a linear
+    recurrence, which the returned function solves as an inclusive
+    prefix scan (Kogge and Stone, IEEE Trans. Computers, 1973) in the
+    Hillis-Steele order: a row of z followed by the kicks, then for
+    d = 1, 2, 4, ... every row takes hop^d times the row d above it.
+    That is log2(blocks) matrix products instead of one Python step per
+    block.
+
+    The powers are formed in np.longdouble and rounded once, each
+    hop^(2^k) by repeated squaring.  Formed in float64, step^K would carry
+    about K roundings along a slowly decaying mode, and every hop would
+    apply that same error again, so it would grow with the hop count.
+    Where longdouble is float64 the operators are still right, to that
+    lesser accuracy.  Every operator is rounded through _flushed.
     """
     size = step.shape[0]
     wide = step.astype(np.longdouble)
@@ -216,49 +244,45 @@ def _block_stepper(step, drive, out):
         col = wide @ col
         row = row @ wide
         free[k] = row
-    free, pushed = free.astype(float), pushed.astype(float)
-    toeplitz = linalg.toeplitz(pushed[out], np.zeros(_BLOCK))
-    control = pushed[:, ::-1]
-    hop = np.linalg.matrix_power(wide, _BLOCK).astype(float)
+    free = _flushed(free)
+    toeplitz = linalg.toeplitz(_flushed(pushed[out]), np.zeros(_BLOCK))
+    control = _flushed(pushed[:, ::-1])
+    hops = []  # hop^(2^k), enough for the blocks of one chunk
+    power = np.linalg.matrix_power(wide, _BLOCK)
+    for _ in range((_CHUNK // _BLOCK).bit_length()):
+        hops.append(_flushed(power))
+        power = power @ power
 
     def advance(z, u):
         full, rest = divmod(u.size, _BLOCK)
         blocks = u[:full * _BLOCK].reshape(full, _BLOCK)
-        starts = np.empty((full, size))
-        for b, kick in enumerate(blocks @ control.T):
-            starts[b] = z
-            z = hop @ z + kick
+        scan = np.empty((full + 1, size))
+        scan[0] = z
+        scan[1:] = blocks @ control.T
+        for level in range(full.bit_length()):
+            d = 1 << level
+            scan[d:] += scan[:-d] @ hops[level].T
+        z = scan[-1]
         y = np.empty(u.size)
-        y[:full * _BLOCK] = (starts @ free.T + blocks @ toeplitz.T).ravel()
+        forced = y[:full * _BLOCK].reshape(full, _BLOCK)
+        np.matmul(scan[:-1], free.T, out=forced)
+        forced += blocks @ toeplitz.T
         if rest:
             tail = u[full * _BLOCK:]
             y[full * _BLOCK:] = free[:rest] @ z + toeplitz[:rest, :rest] @ tail
-            z = np.linalg.matrix_power(wide, rest).astype(float) @ z + control[:, -rest:] @ tail
+            z = _flushed(np.linalg.matrix_power(wide, rest)) @ z + control[:, -rest:] @ tail
         return y, z
 
     return advance
 
 
-def ode_transient(net: Netlist, source: LineSpectrum, periods=50, steps_per_period=4096):
-    """Integrate the network from rest; return the full port current and final state.
+def _integrate(net, source, periods, steps_per_period, kept_periods):
+    """Port current of the last `kept_periods` periods, final state and dt.
 
-    Uses the two-step backward-differentiation rule, primed by one
-    backward-Euler step.  Both are stiffly stable, and unlike an averaged
-    (trapezoid-style) rule the backward family also kills the parasitic
-    modes of the constraint rows, which carry no dynamics and would
-    otherwise ring at the Nyquist rate or grow without bound (a capacitor
-    directly across the port is the worst case).  Second-order accuracy
-    is kept for the physical modes.  The step maps are affine with
-    constant matrices, factored once.  The two-step recursion is run as
-    a one-step map on the stacked state [x_n; x_{n-1}] in the
-    block-state-space form of Burrus (IEEE Trans. Circuit Theory, 1971):
-    each block of 256 steps is a few matrix products, and only the
-    hop from one block's start state to the next is sequential.  The
-    source is sampled at t = dt*k by per-line rotation
-    (_uniform_samples), one chunk of _CHUNK_BLOCKS blocks at a time:
-    one complex exponential per line and block of samples, not one per
-    line and sample.  The returned signal starts at t = 0 and has
-    periods*steps_per_period + 1 samples.
+    The one integrator behind ode_transient (kept_periods=None: every
+    sample from t = 0) and ode_steady_state.  Samples before the kept
+    window are computed but never stored.  Its warnings are filed at the
+    line that called the public function.
     """
     if source.unit != VOLT:
         raise ValueError(f"source must be tagged {VOLT!r}, got {source.unit!r}")
@@ -273,14 +297,14 @@ def ode_transient(net: Netlist, source: LineSpectrum, periods=50, steps_per_peri
         warnings.warn(
             "network has no resistive branch; transients cannot decay",
             TransientWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     elif _inductor_bridge(net):
         warnings.warn(
             "inductor-only path bridges the port; the start-up leaves a "
             "constant current offset that cannot decay",
             TransientWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     period = source.period
     if period is None:
@@ -304,15 +328,21 @@ def ode_transient(net: Netlist, source: LineSpectrum, periods=50, steps_per_peri
     )
 
     n_steps = periods * steps_per_period
+    first = 0 if kept_periods is None else (periods - kept_periods) * steps_per_period
+    port = np.empty(n_steps + 1 - first)
+
+    def keep(lo, values):
+        """Store the samples of steps lo, lo+1, ... that fall in the window."""
+        skip = max(first - lo, 0)
+        if skip < values.size:
+            port[lo + skip - first:lo + values.size - first] = values[skip:]
+
     x = start_drive * _uniform_samples(source, 0.0, dt, 1, 2)[0]
-    port = np.empty(n_steps + 1)
-    port[0] = 0.0
-    port[1] = x[src]
+    keep(0, np.array([0.0, x[src]]))
     z = np.concatenate([x, np.zeros(size)])
-    chunk = _CHUNK_BLOCKS * _BLOCK
-    for lo in range(2, n_steps + 1, chunk):
-        hi = min(lo + chunk, n_steps + 1)
-        port[lo:hi], z = advance(z, _uniform_samples(source, 0.0, dt, lo, hi))
+    for lo in range(2, n_steps + 1, _CHUNK):
+        y, z = advance(z, _uniform_samples(source, 0.0, dt, lo, min(lo + _CHUNK, n_steps + 1)))
+        keep(lo, y)
     x = z[:size]
 
     def volt_of(name):
@@ -326,6 +356,31 @@ def ode_transient(net: Netlist, source: LineSpectrum, periods=50, steps_per_peri
         },
         time=float(dt * n_steps),
     )
+    return port, state, dt
+
+
+def ode_transient(net: Netlist, source: LineSpectrum, periods=50, steps_per_period=4096):
+    """Integrate the network from rest; return the full port current and final state.
+
+    Uses the two-step backward-differentiation rule, primed by one
+    backward-Euler step.  Both are stiffly stable, and unlike an averaged
+    (trapezoid-style) rule the backward family also kills the parasitic
+    modes of the constraint rows, which carry no dynamics and would
+    otherwise ring at the Nyquist rate or grow without bound (a capacitor
+    directly across the port is the worst case).  Second-order accuracy
+    is kept for the physical modes.  The step maps are affine with
+    constant matrices, factored once.  The two-step recursion is run as
+    a one-step map on the stacked state [x_n; x_{n-1}] in the
+    block-state-space form of Burrus (IEEE Trans. Circuit Theory, 1971):
+    each block of 64 steps is a few matrix products, and the hops from
+    one block's start state to the next are solved as a prefix scan over
+    each chunk of blocks (_block_stepper).  The source is sampled at
+    t = dt*k by per-line rotation (_uniform_samples), one chunk of
+    _CHUNK samples at a time: one complex exponential per line and row of
+    256 samples, not one per line and sample.  The returned signal starts
+    at t = 0 and has periods*steps_per_period + 1 samples.
+    """
+    port, state, dt = _integrate(net, source, periods, steps_per_period, None)
     return SampledSignal(0.0, dt, port), state
 
 
@@ -333,16 +388,17 @@ def ode_steady_state(net: Netlist, source: LineSpectrum, periods=50,
                      steps_per_period=4096) -> SampledSignal:
     """Settled port current over the final period, from time-domain integration.
 
-    Integrates `periods` common periods from rest and returns the last
-    one.  If the last two periods still differ by more than DRIFT_RTOL
-    relative, a TransientWarning is issued; with the default 50 periods
-    that points at a nearly lossless network.
+    Integrates `periods` common periods from rest, as ode_transient does,
+    and returns the last one, bit for bit the same samples, t0 and dt as
+    the last period of ode_transient's signal.  Only the last two periods
+    are stored, not the whole transient.  If they differ by more than
+    DRIFT_RTOL relative, a TransientWarning is issued; with the default
+    50 periods that points at a nearly lossless network.
     """
-    full, _ = ode_transient(net, source, periods, steps_per_period)
+    tail, _, dt = _integrate(net, source, periods, steps_per_period, 2)
     spp = steps_per_period
-    start = (periods - 1) * spp
-    last = full.samples[start:start + spp]
-    prev = full.samples[start - spp:start]
+    last = tail[spp:2 * spp]
+    prev = tail[:spp]
     scale = float(np.max(np.abs(last), initial=0.0))
     if float(np.max(np.abs(last - prev), initial=0.0)) > DRIFT_RTOL * max(scale, 1e-300):
         warnings.warn(
@@ -350,7 +406,7 @@ def ode_steady_state(net: Netlist, source: LineSpectrum, periods=50,
             TransientWarning,
             stacklevel=2,
         )
-    return SampledSignal(start * full.dt, full.dt, last)
+    return SampledSignal((periods - 1) * spp * dt, dt, last)
 
 
 # ----------------------------------------------------------------------

@@ -93,6 +93,18 @@ def test_malformed_netlist_names_json_path(tmp_path, capsys):
     assert "branches[0].value" in err and "net.json" in err
 
 
+def test_netlist_value_beyond_the_float_range_exits_with_input_error(tmp_path, capsys):
+    path = simple_setup(tmp_path)
+    net = json.loads((tmp_path / "net.json").read_text(encoding="utf-8"))
+    net["branches"][0]["value"] = 10**400  # json writes and reads it as an integer
+    write_json(tmp_path / "net.json", net)
+    out = tmp_path / "o"
+    assert main(["analyze", "--config", str(path), "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "branches[0].value: expected a finite number" in err and "net.json" in err
+    assert not out.exists()
+
+
 def test_source_validation_messages(tmp_path, capsys):
     path = simple_setup(tmp_path, source={"lines": [{"omega": 1.0}]})
     assert main(["analyze", "--config", str(path)]) == EXIT_INPUT

@@ -122,6 +122,21 @@ def test_from_dict_error_paths():
         )
 
 
+def test_from_dict_rejects_integers_beyond_the_float_range():
+    # float() of such an integer raises OverflowError, not ValueError
+    for value in (10**400, -(10**400)):
+        with pytest.raises(ValueError, match=r"branches\[1\]\.value: expected a finite number"):
+            Netlist.from_dict(
+                {
+                    "branches": [
+                        {"id": "a", "kind": "resistor", "value": 1.0, "nodes": ["p", "0"]},
+                        {"id": "b", "kind": "capacitor", "value": value, "nodes": ["p", "0"]},
+                    ],
+                    "port": {"plus": "p", "ground": "0"},
+                }
+            )
+
+
 # ----------------------------------------------------------------------
 # single-line solves
 

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -102,6 +103,22 @@ def test_lossless_network_warns():
     net = Netlist((Branch("l", INDUCTOR, 1.0, ("p", "0")),), ("p", "0"))
     with pytest.warns(TransientWarning, match="no resistive branch"):
         ode_transient(net, LineSpectrum.tone(1.0, 1.0, VOLT), periods=10, steps_per_period=64)
+
+
+@pytest.mark.parametrize("net, message", [
+    (Netlist((Branch("l", INDUCTOR, 1.0, ("p", "0")),), ("p", "0")), "no resistive branch"),
+    (Netlist((Branch("r", RESISTOR, 1.0, ("p", "0")), Branch("l", INDUCTOR, 1.0, ("p", "0"))),
+             ("p", "0")), "inductor-only path"),
+], ids=["no-resistor", "inductor-bridge"])
+@pytest.mark.parametrize("integrate", [ode_transient, ode_steady_state],
+                         ids=["transient", "steady-state"])
+def test_transient_warnings_name_the_caller(net, message, integrate):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        integrate(net, LineSpectrum.tone(1.0, 1.0, VOLT), periods=10, steps_per_period=64)
+    topology = [w for w in caught if message in str(w.message)]
+    assert len(topology) == 1
+    assert all(w.filename == __file__ for w in caught if w.category is TransientWarning)
 
 
 def test_underdamped_settling_warns_of_drift():
@@ -305,6 +322,65 @@ def test_block_stepping_matches_loop(net, source, steps_per_period):
     assert_block_matches_loop(net, source, 10, steps_per_period)
 
 
+def rc_across_port():
+    """R and C both straight across the port, no internal node."""
+    return Netlist(
+        (Branch("r", RESISTOR, 1.0, ("p", "0")), Branch("c", CAPACITOR, 0.2, ("p", "0"))),
+        ("p", "0"),
+    )
+
+
+def test_flushed_zeroes_subnormals_and_keeps_normal_entries():
+    tiny = np.finfo(float).tiny
+    normal = np.array([tiny, -tiny, np.nextafter(tiny, 1.0), -3.5e-300, 1e300, -7.25])
+    subnormal = np.array([tiny / 2, -tiny / 2, 5e-324, -5e-324, np.nextafter(tiny, 0.0)])
+    got = oracle._flushed(np.concatenate([normal, subnormal, [0.0]]).reshape(2, 6))
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert np.array_equal(got.ravel()[:normal.size].view(np.int64), normal.view(np.int64))
+    assert np.array_equal(got.ravel()[normal.size:].view(np.int64), np.zeros(6, np.int64))
+    wide = np.array([[1.0, tiny / 4], [np.longdouble(1) / 3, -2.0]], dtype=np.longdouble)[:, ::-1]
+    got = oracle._flushed(wide)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, [[0.0, 1.0], [-2.0, float(np.longdouble(1) / 3)]])
+
+
+def test_block_stepping_matches_loop_with_subnormal_operators(monkeypatch):
+    # the Markov parameters of a capacitor straight across the port decay
+    # into the subnormal range; the flush must not move the result
+    flushed = oracle._flushed
+    subnormals = []
+
+    def spy(a):
+        rounded = np.asarray(a, dtype=float)
+        subnormals.append(np.count_nonzero((rounded != 0.0)
+                                           & (np.abs(rounded) < np.finfo(float).tiny)))
+        return flushed(a)
+
+    monkeypatch.setattr(oracle, "_flushed", spy)
+    source = LineSpectrum.from_lines([(1.0, 2.0), (3.0, 0.5j)], VOLT)
+    for steps_per_period in (37, 1000):
+        subnormals.clear()
+        assert_block_matches_loop(rc_across_port(), source, 10, steps_per_period)
+        assert sum(subnormals) > 0
+
+
+@pytest.mark.parametrize("periods, steps_per_period", [
+    (10, 2), (10, 4), (13, 5),       # inside the first block, and ending on it
+    (16, 1024),                      # one step short of a full chunk
+    (113, 145),                      # 16,385 steps: ending exactly on a chunk
+    (2731, 6),                       # one step past it
+    (99, 331),                       # ending exactly on the second chunk
+], ids=["20", "40", "65", "16384", "16385", "16386", "32769"])
+@pytest.mark.parametrize("net", [capacitor_across_port(), rc_across_port()],
+                         ids=["capacitor-across-port", "rc-across-port"])
+def test_block_stepping_matches_loop_at_block_and_chunk_edges(net, periods, steps_per_period):
+    # steps 2..n are advanced in chunks of oracle._CHUNK samples, each cut into
+    # blocks of oracle._BLOCK steps and a partial last block
+    assert oracle._CHUNK == 16384 and oracle._CHUNK % oracle._BLOCK == 0
+    source = LineSpectrum.from_lines([(1.0, 2.0), (3.0, 0.5j)], VOLT)
+    assert_block_matches_loop(net, source, periods, steps_per_period)
+
+
 def test_block_stepping_matches_loop_on_warning_paths():
     lossless = Netlist((Branch("l", INDUCTOR, 1.0, ("p", "0")),), ("p", "0"))
     with pytest.warns(TransientWarning, match="no resistive branch"):
@@ -314,6 +390,48 @@ def test_block_stepping_matches_loop_on_warning_paths():
     with pytest.warns(TransientWarning, match="drifting"):
         ode_steady_state(underdamped, source, periods=10, steps_per_period=256)
     assert_block_matches_loop(underdamped, source, 10, 256)
+
+
+# ----------------------------------------------------------------------
+# steady state from the shared integrator
+
+
+def assert_steady_state_is_last_period(net, source, periods, steps_per_period):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TransientWarning)
+        steady = ode_steady_state(net, source, periods, steps_per_period)
+        full, _ = ode_transient(net, source, periods, steps_per_period)
+    start = (periods - 1) * steps_per_period
+    assert np.array_equal(steady.samples, full.samples[start:start + steps_per_period])
+    assert steady.t0 == full.times[start] == start * full.dt
+    assert steady.dt == full.dt
+
+
+def test_steady_state_is_the_last_period_of_the_transient(flicker_netlist, flicker_source):
+    assert_steady_state_is_last_period(flicker_netlist, flicker_source, 50, 4096)
+    rng = np.random.default_rng(16180339)
+    checked = 0
+    while checked < 10:
+        net = random_netlist(rng, require_resistor=True)
+        source = random_source(rng, allow_dc=True)
+        try:
+            solve(net, source)
+        except SingularNetworkError:
+            continue
+        assert_steady_state_is_last_period(net, source, 12, 1500)
+        checked += 1
+
+
+def test_steady_state_does_not_hold_the_transient(flicker_netlist, flicker_source):
+    # 50 x 8192 steps: the full transient alone is 3.3 MB
+    ode_steady_state(flicker_netlist, flicker_source, 10, 64)  # warm any caches
+    tracemalloc.start()
+    try:
+        ode_steady_state(flicker_netlist, flicker_source, 50, 8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # ----------------------------------------------------------------------
