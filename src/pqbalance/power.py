@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import spectrum
 from .network import CAPACITOR, INDUCTOR, RESISTOR, NetworkSolution
 from .spectrum import (
     JOULE,
@@ -47,7 +48,7 @@ class ConsistencyError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# per-line amplitudes and the (t, s) kernel built from them
+# per-line amplitudes, evaluated on a (t, s) grid by spectrum's kernel
 
 # weight of |a_b|^2 in W_m, W_e or P_d per unit value, and its sign in X
 _WEIGHT = {INDUCTOR: 0.25, CAPACITOR: 0.25, RESISTOR: 0.5}
@@ -57,12 +58,15 @@ _SIGN = {INDUCTOR: 1.0, CAPACITOR: -1.0, RESISTOR: 0.0}
 class _LineAmplitudes:
     """Branch-by-line analytic amplitudes of one solution, from ``per_line``.
 
-    A row's analytic signal is ``sum_k A_k e^{j w_k t} e^{-w_k s}``, the
-    DC line entering at w = 0 with full weight.  Row b of ``branch`` holds
-    the current of an inductor or resistor, or the voltage of a capacitor;
-    ``c`` weights its |a_b|^2 in W_m, W_e or P_d (L/4, C/4, R/2) and
-    ``sigma`` signs it in X = W_m - W_e (+1, -1, 0).  ``port`` holds the
-    port voltage and current rows.
+    Every row holds one signal's amplitudes A_k on the lines ``omegas``,
+    in ``per_line`` order, which is the row layout ``spectrum._analytic``
+    evaluates: a row's analytic signal is ``sum_k A_k e^{j w_k t}
+    e^{-w_k s}``, the DC line entering at w = 0 with full weight.  Row b of
+    ``branch`` holds the current of an inductor or resistor, or the voltage
+    of a capacitor; ``c`` weights its |a_b|^2 in W_m, W_e or P_d (L/4, C/4,
+    R/2), ``sigma`` signs it in X = W_m - W_e (+1, -1, 0) and ``store``
+    marks the inductor and capacitor rows.  ``port`` holds the port voltage
+    and current rows.
     """
 
     def __init__(self, sol: NetworkSolution):
@@ -75,6 +79,7 @@ class _LineAmplitudes:
         ).reshape(len(branches), len(per_line))
         self.c = np.array([_WEIGHT[b.kind] * b.value for b in branches], dtype=float)
         self.sigma = np.array([_SIGN[b.kind] for b in branches], dtype=float)
+        self.store = self.sigma != 0.0
         self.port = np.array(
             [[ph.port_voltage, ph.port_current] for ph in per_line], dtype=complex
         ).reshape(len(per_line), 2).T
@@ -82,31 +87,6 @@ class _LineAmplitudes:
     def reactive_energy(self) -> np.ndarray:
         """Time mean of W_m - W_e carried by each line at s = 0."""
         return (self.sigma * self.c) @ (np.abs(self.branch) ** 2)
-
-
-class _GridKernel:
-    """Line tables of one solution on one (t, s) grid.
-
-    ``rot = exp(j w_k t)`` (T x L) and ``damp = exp(-w_k s)`` (L x S), so
-    amplitude rows ``A`` give ``rot @ (A[:, :, None] * damp)``.  A shift
-    of t by h multiplies A_k by ``exp(j w_k h)`` and a shift of s by h
-    multiplies it by ``exp(-w_k h)``, so finite differences reuse the tables.
-    """
-
-    def __init__(self, lines: _LineAmplitudes, t_arr, s_arr):
-        self.lines = lines
-        self.store = lines.sigma != 0.0
-        self.rot = np.exp(1j * np.multiply.outer(t_arr, lines.omegas))
-        self.damp = np.exp(-np.multiply.outer(lines.omegas, s_arr))
-
-    def analytic(self, amps, factor=1.0, cols=slice(None)) -> np.ndarray:
-        """Grid values of each amplitude row, shape (rows, T, S)."""
-        return self.rot @ ((amps * factor)[:, :, None] * self.damp[:, cols])
-
-    def stored(self, weights, factor, cols=slice(None)) -> np.ndarray:
-        """sum_b weights[b] |a_b|^2 over L and C, line k scaled by factor[k]."""
-        a = self.analytic(self.lines.branch[self.store], factor, cols)
-        return (weights[self.store, None, None] * np.abs(a) ** 2).sum(axis=0)
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +196,7 @@ class ScaledQuantities:
     and ``q`` are the real and imaginary parts of half the port voltage
     times the conjugate port current.  The exact t-derivative of
     ``w_stored`` and s-derivative of ``x_reactive`` ride along privately,
-    with the line tables that produced them.
+    with the line amplitudes that produced them.
     """
 
     t: np.ndarray
@@ -230,7 +210,7 @@ class ScaledQuantities:
     p_dissipated: np.ndarray
     _dw_dt: np.ndarray = field(repr=False, compare=False, default=None)
     _dx_ds: np.ndarray = field(repr=False, compare=False, default=None)
-    _kernel: _GridKernel = field(repr=False, compare=False, default=None)
+    _lines: _LineAmplitudes = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         for name in ("t", "s"):
@@ -260,23 +240,20 @@ def default_s_grid(source: LineSpectrum, n=32) -> np.ndarray:
 def scaled(sol: NetworkSolution, t_grid, s_grid) -> ScaledQuantities:
     """Evaluate every scaled quantity on the outer product of the two grids.
 
+    Both grids are flattened, and every ``s`` must be finite and >= 0.
     With a' = da/dt, the exact derivatives are dW/dt = 2 sum c_b Re(a'_b conj a_b)
     and dX/ds = -2 sum sigma_b c_b Im(a'_b conj a_b), since da/ds = j a'.
     """
-    t_arr = np.asarray(t_grid, dtype=float)
-    s_arr = np.asarray(s_grid, dtype=float)
-    if np.any(s_arr < 0.0):
-        raise ValueError("scale grid must be >= 0")
+    t_arr, s_arr = spectrum._grid(t_grid, s_grid)
     lines = _LineAmplitudes(sol)
-    kernel = _GridKernel(lines, t_arr, s_arr)
-    a = kernel.analytic(lines.branch)
+    store, n_b = lines.store, len(lines.branch)
+    rows = (lines.port, lines.branch, lines.branch[store] * (1j * lines.omegas))
+    grid = spectrum._analytic(lines.omegas, np.concatenate(rows), t_arr, s_arr)
+    (u_a, i_a), a, a_dot = grid[:2], grid[2:2 + n_b], grid[2 + n_b:]
     energy = lines.c[:, None, None] * np.abs(a) ** 2
     w_m = energy[lines.sigma > 0.0].sum(axis=0)
     w_e = energy[lines.sigma < 0.0].sum(axis=0)
-    store = kernel.store
-    a_dot = kernel.analytic(lines.branch[store], 1j * lines.omegas)
     rate = lines.c[store, None, None] * a_dot * np.conj(a[store])
-    u_a, i_a = kernel.analytic(lines.port)
     s_complex = 0.5 * u_a * np.conj(i_a)
     return ScaledQuantities(
         t=t_arr,
@@ -290,7 +267,7 @@ def scaled(sol: NetworkSolution, t_grid, s_grid) -> ScaledQuantities:
         p_dissipated=energy[~store].sum(axis=0),
         _dw_dt=2.0 * rate.real.sum(axis=0),
         _dx_ds=-2.0 * (lines.sigma[store, None, None] * rate.imag).sum(axis=0),
-        _kernel=kernel,
+        _lines=lines,
     )
 
 
@@ -309,27 +286,50 @@ def reactive_balance(sq: ScaledQuantities) -> float:
     return _worst(_reactive_gap(sq))[0]
 
 
+def _check_step(h):
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be finite and > 0, got {h!r}")
+
+
+def _central_difference(sq: ScaledQuantities, weights, forward, backward, s_arr, h):
+    """(F(+h) - F(-h)) / 2h for F = sum_b weights[b] |a_b|^2 over L and C.
+
+    A shift by +h or -h multiplies line k by ``forward[k]`` or ``backward[k]``.
+    """
+    lines = sq._lines
+    amps, weights = lines.branch[lines.store], weights[lines.store, None, None]
+    rows = np.concatenate((amps * forward, amps * backward))
+    a = spectrum._analytic(lines.omegas, rows, sq.t, s_arr)
+    fwd, bwd = a[:len(amps)], a[len(amps):]
+    return ((weights * np.abs(fwd) ** 2).sum(axis=0)
+            - (weights * np.abs(bwd) ** 2).sum(axis=0)) / (2.0 * h)
+
+
 def d_dt_fd_gap(sq: ScaledQuantities, h) -> float:
-    """Max gap between the exact t-derivative of W and a central difference."""
-    kernel, c = sq._kernel, sq._kernel.lines.c
-    shift = np.exp(1j * kernel.lines.omegas * h)
-    fd = (kernel.stored(c, shift) - kernel.stored(c, shift.conjugate())) / (2.0 * h)
+    """Max gap between the exact t-derivative of W and a central difference.
+
+    The step ``h`` must be finite and > 0.
+    """
+    _check_step(h)
+    lines = sq._lines
+    shift = np.exp(1j * lines.omegas * h)
+    fd = _central_difference(sq, lines.c, shift, shift.conjugate(), sq.s, h)
     return _worst(np.abs(fd - sq._dw_dt))[0]
 
 
 def d_ds_fd_gap(sq: ScaledQuantities, h) -> float:
     """Max gap between the exact s-derivative of X and a central difference.
 
-    Only scale points with s >= h enter, so the difference stays inside
-    the s >= 0 domain.
+    The step ``h`` must be finite and > 0.  Only scale points with s >= h
+    enter, so the difference stays inside the s >= 0 domain.
     """
+    _check_step(h)
+    lines = sq._lines
     keep = sq.s >= h
-    kernel, omegas = sq._kernel, sq._kernel.lines.omegas
-    x_c = kernel.lines.sigma * kernel.lines.c
-    fd = (
-        kernel.stored(x_c, np.exp(-omegas * h), keep)
-        - kernel.stored(x_c, np.exp(omegas * h), keep)
-    ) / (2.0 * h)
+    fd = _central_difference(
+        sq, lines.sigma * lines.c, np.exp(-lines.omegas * h),
+        np.exp(lines.omegas * h), sq.s[keep], h,
+    )
     return _worst(np.abs(fd - sq._dx_ds[:, keep]))[0]
 
 
@@ -456,13 +456,12 @@ def q_from_stored_energy(sol: NetworkSolution, omega) -> float:
     cross-checks it against the per-line phasor value.  Only defined for
     a source with exactly one line, at the given frequency.
     """
-    lines = sol.source.lines
-    if len(lines) != 1 or lines[0].omega == 0.0:
+    omegas = sol.source.omegas
+    if omegas.size != 1 or omegas[0] == 0.0:
         raise ValueError("stored-energy route requires a single sinusoidal source")
-    if not math.isclose(lines[0].omega, omega, rel_tol=COMMENSURATE_RTOL):
-        raise ValueError(
-            f"source line at {lines[0].omega!r} rad/s, not at {omega!r} rad/s"
-        )
+    line = float(omegas[0])
+    if not math.isclose(line, omega, rel_tol=COMMENSURATE_RTOL):
+        raise ValueError(f"source line at {line!r} rad/s, not at {omega!r} rad/s")
     ph = sol.per_line[0]
     q_energy = float(_stored_energy_q(sol)[0])
     q_phasor = (0.5 * ph.port_voltage * ph.port_current.conjugate()).imag
@@ -481,11 +480,10 @@ def scaled_time_means(sol: NetworkSolution, s_grid):
     so each mean is the diagonal sum over lines of |A_k|^2 e^{-2 w_k s}
     terms: an exact finite sum of decaying exponentials in s.  The
     averages obey the scale-domain balance: the reactive power equals
-    minus the s-derivative of the reactive energy.
+    minus the s-derivative of the reactive energy.  ``s_grid`` is
+    flattened, and every ``s`` must be finite and >= 0.
     """
-    s_arr = np.asarray(s_grid, dtype=float)
-    if np.any(s_arr < 0.0):
-        raise ValueError("scale grid must be >= 0")
+    _, s_arr = spectrum._grid((), s_grid)
     lines = _LineAmplitudes(sol)
     decay = np.exp(-2.0 * np.multiply.outer(lines.omegas, s_arr))
     u, i = lines.port
@@ -575,9 +573,10 @@ class BalanceReport:
 
 def verify_balances(sol: NetworkSolution, t_grid=None, s_grid=None) -> BalanceReport:
     """Evaluate all three balance laws and package residuals with context."""
-    t_arr = default_t_grid(sol.source) if t_grid is None else np.asarray(t_grid, float)
-    s_arr = default_s_grid(sol.source) if s_grid is None else np.asarray(s_grid, float)
-    return _balance_report(sol, instantaneous(sol), scaled(sol, t_arr, s_arr))
+    t_grid = default_t_grid(sol.source) if t_grid is None else t_grid
+    s_grid = default_s_grid(sol.source) if s_grid is None else s_grid
+    sq = scaled(sol, t_grid, s_grid)  # checks the grids before the products run
+    return _balance_report(sol, instantaneous(sol), sq)
 
 
 def _balance_report(sol: NetworkSolution, iset: InstantaneousSet,

@@ -26,8 +26,11 @@ bases are searched again, over both operands' frequencies together.
 The analytic signal of ``f`` is ``A0 + sum_k A_k exp(j w_k t)``; a constant
 keeps its full weight, so the analytic signal of a DC value ``c`` is ``c``
 (zero quadrature part).  Extending time to ``t + j s`` with ``s >= 0``
-multiplies each line by the low-pass factor ``exp(-w_k s)``; ``evaluate``,
-``analytic_at`` and ``analytic_grid`` share one kernel for that formula.
+multiplies each line by the low-pass factor ``exp(-w_k s)``.  One kernel,
+``_analytic``, evaluates that formula for rows of amplitudes on one set of
+lines: ``evaluate``, ``analytic_at`` and ``analytic_grid`` call it on the
+positive lines, and ``power.scaled`` and its finite-difference checks call
+it on the branch and port amplitudes of a solved network.
 """
 
 from __future__ import annotations
@@ -118,6 +121,32 @@ def _sum_by_key(keys, re, im):
     sums.real = np.bincount(slot, re, keys.size)
     sums.imag = np.bincount(slot, im, keys.size)
     return keys, first, sums
+
+
+def _grid(t, s):
+    """``t`` and ``s`` as 1-d float arrays; every ``s`` must be finite and >= 0."""
+    s_arr = np.asarray(s, dtype=float).ravel()
+    bad = s_arr[~(np.isfinite(s_arr) & (s_arr >= 0.0))]
+    if bad.size:
+        raise ValueError(f"s must be finite and >= 0, got {float(bad[0])!r}")
+    return np.asarray(t, dtype=float).ravel(), s_arr
+
+
+def _analytic(omegas, amps, t, s):
+    """``sum_k A_k e^{j w_k t} e^{-w_k s}`` for each row of ``amps`` over ``omegas``.
+
+    ``amps`` holds amplitudes on the L lines: one row, or a stack of rows
+    of shape ``(..., L)``.  A 1-d ``s`` gives shape ``amps.shape[:-1] +
+    t.shape + s.shape`` (a stack of rows needs a 1-d ``t``).  A scalar
+    ``s >= 0`` takes one row and gives ``t.shape`` from one matrix-vector
+    product, at ``s == 0`` on the undamped amplitudes.  An empty line set
+    gives zeros.
+    """
+    if np.ndim(s):
+        amps = amps[..., None] * np.exp(-np.multiply.outer(omegas, s))
+    elif s:
+        amps = amps * np.exp(-omegas * s)
+    return np.exp(1j * np.multiply.outer(t, omegas)) @ amps
 
 
 @dataclass(frozen=True)
@@ -385,45 +414,32 @@ class LineSpectrum:
     # ------------------------------------------------------------------
     # evaluation
 
-    def _analytic(self, t, s):
-        """``A0 + sum_k A_k e^{j w_k t} e^{-w_k s}`` for a float array ``t``.
-
-        A scalar ``s >= 0`` gives shape ``t.shape`` from one matrix-vector
-        product (at ``s == 0`` on the undamped amplitudes); a 1-d ``s``
-        gives shape ``t.shape + s.shape``.
-        """
-        dc, a0 = self._split()
-        if self._keys.size == dc:
-            return np.full(t.shape + np.shape(s), a0, dtype=complex)
-        omegas, amps = self._omegas[dc:], self._amps[dc:]
-        if np.ndim(s):
-            amps = amps[:, None] * np.exp(-np.multiply.outer(omegas, s))
-        elif s:
-            amps = amps * np.exp(-omegas * s)
-        return a0 + np.exp(1j * np.multiply.outer(t, omegas)) @ amps
-
     def evaluate(self, t):
         """Signal value(s) at time ``t`` (scalar or array), always real."""
-        out = self._analytic(np.asarray(t, dtype=float), 0.0).real
+        dc, a0 = self._split()
+        out = (a0 + _analytic(self._omegas[dc:], self._amps[dc:],
+                              np.asarray(t, dtype=float), 0.0)).real
         return float(out) if out.ndim == 0 else out
 
     def analytic_at(self, t, s=0.0):
-        """Analytic signal at complex time t + j*s (``s >= 0``).
+        """Analytic signal at complex time t + j*s (``s`` finite and >= 0).
 
         Equals ``A0 + sum_k A_k e^{j w_k t} e^{-w_k s}``; at s=0 the real part
         recovers the signal and the imaginary part its quadrature component.
         """
-        if s < 0.0:
-            raise ValueError(f"s must be >= 0, got {s!r}")
-        out = self._analytic(np.asarray(t, dtype=float), s)
+        _grid((), s)
+        dc, a0 = self._split()
+        out = a0 + _analytic(self._omegas[dc:], self._amps[dc:],
+                             np.asarray(t, dtype=float), s)
         return complex(out) if out.ndim == 0 else out
 
     def analytic_grid(self, t_grid, s_grid) -> np.ndarray:
-        """Analytic signal on the outer grid; result shape (len(t), len(s))."""
-        s_arr = np.asarray(s_grid, dtype=float).ravel()
-        if np.any(s_arr < 0.0):
-            raise ValueError("all scale values must be >= 0")
-        return self._analytic(np.asarray(t_grid, dtype=float).ravel(), s_arr)
+        """Analytic signal on the outer grid; result shape (t.size, s.size).
+
+        Both grids are flattened, and every ``s`` must be finite and >= 0.
+        """
+        dc, a0 = self._split()
+        return a0 + _analytic(self._omegas[dc:], self._amps[dc:], *_grid(t_grid, s_grid))
 
     def sample(self, t0, dt, n) -> SampledSignal:
         """Uniform samples at ``t0 + k*dt`` for ``k = 0 .. n-1``."""

@@ -140,3 +140,23 @@ def line_objects(monkeypatch):
 
     monkeypatch.setattr(spectrum.SpectralLine, "__init__", counted)
     return built
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Result shapes of the (t, s) grid evaluations run by ``spectrum._analytic``.
+
+    Calls at a single scale, as ``evaluate`` and ``analytic_at`` make
+    them, are not recorded.
+    """
+    shapes = []
+    kernel = spectrum._analytic
+
+    def counted(omegas, amps, t, s):
+        out = kernel(omegas, amps, t, s)
+        if np.ndim(s):
+            shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(spectrum, "_analytic", counted)
+    return shapes

@@ -353,6 +353,146 @@ def test_dc_plus_tone_on_the_scaled_grid():
 
 
 # ----------------------------------------------------------------------
+# the (t, s) grid goes through spectrum's kernel
+
+
+SCALED_FIELDS = ("t", "s", "w_magnetic", "w_electric", "w_stored", "x_reactive",
+                 "p", "q", "p_dissipated", "_dw_dt", "_dx_ds")
+
+
+def grid_table_formulas(sol, t, s, h_t, h_s):
+    """Scaled fields and fd gaps from tables exp(j w t) and exp(-w s) built once.
+
+    Amplitude rows A give ``rot @ (A[:, :, None] * damp)``, and a shift by
+    +h or -h scales line k by a per-line factor, as power.py's own grid
+    kernel computed them before ``scaled`` evaluated through
+    ``spectrum._analytic``.
+    """
+    lines = power._LineAmplitudes(sol)
+    store = lines.sigma != 0.0
+    rot = np.exp(1j * np.multiply.outer(t, lines.omegas))
+    damp = np.exp(-np.multiply.outer(lines.omegas, s))
+
+    def analytic(amps, factor=1.0, cols=slice(None)):
+        return rot @ ((amps * factor)[:, :, None] * damp[:, cols])
+
+    def stored(weights, factor, cols=slice(None)):
+        a = analytic(lines.branch[store], factor, cols)
+        return (weights[store, None, None] * np.abs(a) ** 2).sum(axis=0)
+
+    a = analytic(lines.branch)
+    energy = lines.c[:, None, None] * np.abs(a) ** 2
+    w_m = energy[lines.sigma > 0.0].sum(axis=0)
+    w_e = energy[lines.sigma < 0.0].sum(axis=0)
+    a_dot = analytic(lines.branch[store], 1j * lines.omegas)
+    rate = lines.c[store, None, None] * a_dot * np.conj(a[store])
+    u_a, i_a = analytic(lines.port)
+    s_complex = 0.5 * u_a * np.conj(i_a)
+    fields = dict(
+        t=t, s=s, w_magnetic=w_m, w_electric=w_e, w_stored=w_m + w_e,
+        x_reactive=w_m - w_e, p=s_complex.real, q=s_complex.imag,
+        p_dissipated=energy[~store].sum(axis=0),
+        _dw_dt=2.0 * rate.real.sum(axis=0),
+        _dx_ds=-2.0 * (lines.sigma[store, None, None] * rate.imag).sum(axis=0),
+    )
+    shift = np.exp(1j * lines.omegas * h_t)
+    fd_t = (stored(lines.c, shift) - stored(lines.c, shift.conjugate())) / (2.0 * h_t)
+    keep = s >= h_s
+    x_c = lines.sigma * lines.c
+    fd_s = (
+        stored(x_c, np.exp(-lines.omegas * h_s), keep)
+        - stored(x_c, np.exp(lines.omegas * h_s), keep)
+    ) / (2.0 * h_s)
+    gap_t = float(np.max(np.abs(fd_t - fields["_dw_dt"]), initial=0.0))
+    gap_s = float(np.max(np.abs(fd_s - fields["_dx_ds"][:, keep]), initial=0.0))
+    return fields, gap_t, gap_s
+
+
+def test_scaled_matches_the_parent_grid_formulas_bit_for_bit():
+    rng = np.random.default_rng(4242)
+    sols = [solved_case(rng, allow_dc=True) for _ in range(40)]
+    assert sum(sol.source.omegas[0] == 0.0 for sol in sols) >= 5
+    sols += [
+        solve(rlc_net(), LineSpectrum.zero(VOLT)),
+        solve(rlc_net(), LineSpectrum.dc(3.0, VOLT)),
+        solve(rlc_net(), LineSpectrum.from_lines([(0.0, 3.0), (2.0, 1.5 - 0.5j)], VOLT)),
+        solve(one_branch(RESISTOR, 3.0), LineSpectrum.from_lines([(0.0, -1.0), (2.0, 5.0)], VOLT)),
+    ]
+    for k, sol in enumerate(sols):
+        period = sol.source.period or 1.0
+        t = np.array([]) if k % 7 == 3 else rng.uniform(-2.0, 2.0, 13) * period
+        s = default_s_grid(sol.source, 6)
+        sq = scaled(sol, t, s)
+        for h_t, h_s in ((1e-4 * period, 1e-4 * s[-1]), (0.3 * period, s[3])):
+            want, gap_t, gap_s = grid_table_formulas(sol, t, s, h_t, h_s)
+            for name in SCALED_FIELDS:
+                got = getattr(sq, name)
+                assert got.shape == want[name].shape and np.array_equal(got, want[name]), (k, name)
+            assert d_dt_fd_gap(sq, h_t) == gap_t, k
+            assert d_ds_fd_gap(sq, h_s) == gap_s, k
+
+
+def test_scaled_and_its_checks_make_one_kernel_call_each(flicker_solution, kernel_calls):
+    t, s = np.linspace(0.0, 6.0, 8), np.array([0.0, 0.5, 1.0])
+    sq = scaled(flicker_solution, t, s)
+    # port u and i, then r1 and c1, then the rate of c1
+    assert kernel_calls == [(5, 8, 3)]
+    del kernel_calls[:]
+    d_dt_fd_gap(sq, 0.01)
+    d_ds_fd_gap(sq, 0.6)
+    # c1 shifted forward and backward, on the scale points s >= h
+    assert kernel_calls == [(2, 8, 3), (2, 8, 1)]
+    del kernel_calls[:]
+    verify_balances(flicker_solution, t, s)
+    assert len(kernel_calls) == 3
+
+
+# every entry point to the (t, s) grid, called with one scale value s
+GRID_ENTRY_POINTS = {
+    "analytic_at": lambda sol, t, s: sol.source.analytic_at(t, s),
+    "analytic_grid": lambda sol, t, s: sol.source.analytic_grid(t, [0.0, s]),
+    "scaled": lambda sol, t, s: scaled(sol, t, [0.0, s]),
+    "scaled_time_means": lambda sol, t, s: scaled_time_means(sol, [s, 0.0]),
+    "verify_balances": lambda sol, t, s: verify_balances(sol, t, [0.5, s]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("entry", GRID_ENTRY_POINTS)
+def test_grid_entry_points_reject_a_bad_scale(entry, bad):
+    # a DC line meets s = inf as 0 * inf unless the scale is checked first
+    sol = solve(rlc_net(), LineSpectrum.from_lines([(0.0, 3.0), (2.0, 1.5 - 0.5j)], VOLT))
+    with pytest.raises(ValueError, match=r"s must be finite and >= 0, got -?(nan|inf|1\.0)"):
+        GRID_ENTRY_POINTS[entry](sol, np.linspace(0.0, 1.0, 4), bad)
+
+
+def test_grid_entry_points_flatten_the_grids(flicker_solution):
+    sol = flicker_solution
+    t2 = np.linspace(0.0, 5.0, 6).reshape(2, 3)
+    sq = scaled(sol, t2, 0.5)
+    flat = scaled(sol, t2.ravel(), [0.5])
+    assert sq.t.shape == (6,) and sq.s.shape == (1,)
+    for name in SCALED_FIELDS:
+        assert getattr(sq, name).shape == getattr(flat, name).shape
+        assert np.array_equal(getattr(sq, name), getattr(flat, name))
+    assert sq.p.shape == (6, 1)
+    report = verify_balances(sol, t2, [[0.0, 0.5]])
+    assert report == verify_balances(sol, t2.ravel(), [0.0, 0.5])
+    assert (report.n_t, report.n_s) == (6, 2)
+    mean_x, mean_q = scaled_time_means(sol, 0.5)
+    assert mean_x.shape == mean_q.shape == (1,)
+    assert sol.source.analytic_grid(t2, 0.5).shape == (6, 1)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+def test_fd_gaps_reject_a_bad_step(flicker_solution, h):
+    sq = scaled(flicker_solution, np.linspace(0.0, 5.0, 11), np.array([0.0, 0.3, 0.9]))
+    for gap in (d_dt_fd_gap, d_ds_fd_gap):
+        with pytest.raises(ValueError, match="h must be finite and > 0"):
+            gap(sq, h)
+
+
+# ----------------------------------------------------------------------
 # classical summary / Budeanu
 
 

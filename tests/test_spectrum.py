@@ -21,6 +21,7 @@ from pqbalance.oracle import (
 from pqbalance.power import (
     budeanu,
     instantaneous,
+    q_from_stored_energy,
     real_imaginary_power,
     scaled,
     verify_balances,
@@ -517,6 +518,10 @@ def test_pipeline_builds_no_line_objects(rng, line_objects):
         point, cfg = ComplexTimePoint(0.3, 0.5), QuadratureConfig(10.0 * period, panels=64)
         quadrature_analytic(sol.source, point, cfg)
         quadrature_tail_bound(sol.source, point, cfg)
+    for _ in range(10):
+        omega = float(rng.uniform(0.2, 8.0))
+        sol = solved_case(rng, source=LineSpectrum.tone(omega, rng.uniform(0.5, 20.0), VOLT))
+        q_from_stored_energy(sol, omega)
     assert line_objects == []
 
 
