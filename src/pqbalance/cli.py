@@ -30,7 +30,6 @@ from .power import (
     default_s_grid,
     default_t_grid,
     instantaneous,
-    real_imaginary_power,
     scaled,
     scaled_time_means,
     verify_balances,
@@ -258,7 +257,8 @@ def run_analyze(cfg: AnalysisConfig, out_dir) -> int:
     sq = scaled(sol, t_arr, s_arr)
 
     if "csv" in cfg.formats:
-        p_real, q_imag = real_imaginary_power(sol.source, sol.port_current)
+        # P_t and Q_t: Re and Im of 1/2 u_a conj(i_a) at s = 0
+        s_zero = scaled(sol, t_arr, [0.0])
         _write_csv(
             out / "instantaneous.csv",
             ["t", "p", "p_d", "w_m", "w_e", "w", "x", "P_t", "Q_t"],
@@ -270,8 +270,8 @@ def run_analyze(cfg: AnalysisConfig, out_dir) -> int:
                 iset.w_electric.evaluate(t_arr),
                 iset.w_stored.evaluate(t_arr),
                 iset.x_reactive.evaluate(t_arr),
-                p_real.evaluate(t_arr),
-                q_imag.evaluate(t_arr),
+                s_zero.p[:, 0],
+                s_zero.q[:, 0],
             ],
         )
         for k, name in enumerate(scale_files):

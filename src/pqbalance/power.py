@@ -10,6 +10,9 @@ solution:
 * time-scale quantities on a (t, s) grid, where the scale s >= 0 damps
   each line by ``e^{-omega*s}``, suppressing the fastest content first.
 
+The last two read every per-line value from one table, ``_LineAmplitudes``,
+and the branch rules of ``_RULES`` serve the first as well.
+
 The balances verified numerically are the instantaneous one,
 ``dw/dt = p - p_d``, the active one, ``dW/dt = P - P_d`` at every scale,
 and the reactive one, ``-dX/ds = Q``, which runs along the scale axis
@@ -23,7 +26,9 @@ not discretization error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -48,41 +53,51 @@ class ConsistencyError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# per-line amplitudes, evaluated on a (t, s) grid by spectrum's kernel
+# the per-line table, evaluated on a (t, s) grid by spectrum's kernel
 
-# weight of |a_b|^2 in W_m, W_e or P_d per unit value, and its sign in X
-_WEIGHT = {INDUCTOR: 0.25, CAPACITOR: 0.25, RESISTOR: 0.5}
-_SIGN = {INDUCTOR: 1.0, CAPACITOR: -1.0, RESISTOR: 0.0}
+# Per branch kind: the signal a_b (a capacitor's voltage, otherwise the
+# branch current), the weight of |a_b|^2 in P_d, W_m or W_e per unit value,
+# and the sign of that term in X = W_m - W_e.
+_RULES = {RESISTOR: ("current", 0.5, 0.0), INDUCTOR: ("current", 0.25, 1.0),
+          CAPACITOR: ("voltage", 0.25, -1.0)}
 
 
 class _LineAmplitudes:
-    """Branch-by-line analytic amplitudes of one solution, from ``per_line``.
+    """Every per-line value of one solution; the one reader of ``per_line``.
 
-    Every row holds one signal's amplitudes A_k on the lines ``omegas``,
-    in ``per_line`` order, which is the row layout ``spectrum._analytic``
-    evaluates: a row's analytic signal is ``sum_k A_k e^{j w_k t}
-    e^{-w_k s}``, the DC line entering at w = 0 with full weight.  Row b of
-    ``branch`` holds the current of an inductor or resistor, or the voltage
-    of a capacitor; ``c`` weights its |a_b|^2 in W_m, W_e or P_d (L/4, C/4,
-    R/2), ``sigma`` signs it in X = W_m - W_e (+1, -1, 0) and ``store``
-    marks the inductor and capacitor rows.  ``port`` holds the port voltage
-    and current rows.
+    Column k is the line at ``omegas[k]``.  ``port`` holds the rows U_k and
+    I_k.  ``p`` and ``q`` hold 1/2 Re and 1/2 Im of U_k conj I_k, and
+    ``u_rms`` and ``i_rms`` hold |U_k|/sqrt 2 and |I_k|/sqrt 2, but a DC
+    line enters at full weight: p = U_0 I_0, q = 0, rms |U_0| and |I_0|.
+    Row b of ``branch``, built on first read, holds a_b by ``_RULES``; ``c``
+    weights its |a_b|^2 (R/2, L/4, C/4), ``sigma`` signs it in X and
+    ``store`` marks the L and C rows.  ``spectrum._analytic`` evaluates a
+    row A as the analytic signal ``sum_k A_k e^{j w_k t} e^{-w_k s}``.
     """
 
     def __init__(self, sol: NetworkSolution):
-        branches, per_line = sol.netlist.branches, sol.per_line
-        self.omegas = np.array([ph.omega for ph in per_line], dtype=float)
-        self.branch = np.array(
-            [[(ph.voltage if b.kind == CAPACITOR else ph.current)[b.id]
-              for ph in per_line] for b in branches],
-            dtype=complex,
-        ).reshape(len(branches), len(per_line))
-        self.c = np.array([_WEIGHT[b.kind] * b.value for b in branches], dtype=float)
-        self.sigma = np.array([_SIGN[b.kind] for b in branches], dtype=float)
-        self.store = self.sigma != 0.0
+        self._per_line, self._branches = sol.per_line, sol.netlist.branches
+        self.omegas = np.array([ph.omega for ph in sol.per_line], dtype=float)
         self.port = np.array(
-            [[ph.port_voltage, ph.port_current] for ph in per_line], dtype=complex
-        ).reshape(len(per_line), 2).T
+            [[ph.port_voltage, ph.port_current] for ph in sol.per_line], dtype=complex
+        ).reshape(-1, 2).T
+        (ur, ir), (ui, ii) = self.port.real, self.port.imag
+        dc = self.omegas == 0.0
+        self.p = np.where(dc, ur * ir, 0.5 * (ur * ir + ui * ii))
+        self.q = np.where(dc, 0.0, 0.5 * (ui * ir - ur * ii))
+        # hypot, as abs() of a Python complex; numpy's complex abs may differ in the last bit
+        root2 = np.where(dc, 1.0, math.sqrt(2.0))
+        self.u_rms, self.i_rms = np.hypot(self.port.real, self.port.imag) / root2
+        self.c = np.array([_RULES[b.kind][1] * b.value for b in self._branches], dtype=float)
+        self.sigma = np.array([_RULES[b.kind][2] for b in self._branches], dtype=float)
+        self.store = self.sigma != 0.0
+
+    @cached_property
+    def branch(self) -> np.ndarray:
+        phasors = {name: [getattr(ph, name) for ph in self._per_line]
+                   for name in ("voltage", "current")}
+        rows = [[d[b.id] for d in phasors[_RULES[b.kind][0]]] for b in self._branches]
+        return np.array(rows, dtype=complex).reshape(len(rows), len(self.omegas))
 
     def reactive_energy(self) -> np.ndarray:
         """Time mean of W_m - W_e carried by each line at s = 0."""
@@ -111,24 +126,22 @@ class InstantaneousSet:
 
 
 def instantaneous(sol: NetworkSolution) -> InstantaneousSet:
-    """Assemble p = u*i, p_d = sum R i^2, w_m = sum L i^2 / 2, w_e = sum C u^2 / 2."""
+    """Assemble p = u*i, p_d = sum R i^2, w_m = sum L i^2 / 2, w_e = sum C u^2 / 2.
+
+    Each branch adds 2 c_b a_b^2 to its kind's sum, with a_b and c_b by ``_RULES``.
+    """
     p = sol.source.multiply(sol.port_current)
-    p_d = LineSpectrum.zero(WATT)
-    w_m = LineSpectrum.zero(JOULE)
-    w_e = LineSpectrum.zero(JOULE)
+    sums = {RESISTOR: LineSpectrum.zero(WATT), INDUCTOR: LineSpectrum.zero(JOULE),
+            CAPACITOR: LineSpectrum.zero(JOULE)}
     for b in sol.netlist.branches:
-        if b.kind == RESISTOR:
-            i_b = sol.branch_current[b.id]
-            p_d = p_d + i_b.multiply(i_b, unit=WATT).scale(b.value)
-        elif b.kind == INDUCTOR:
-            i_b = sol.branch_current[b.id]
-            w_m = w_m + i_b.multiply(i_b, unit=JOULE).scale(0.5 * b.value)
-        else:
-            u_b = sol.branch_voltage[b.id]
-            w_e = w_e + u_b.multiply(u_b, unit=JOULE).scale(0.5 * b.value)
+        signal, weight, _ = _RULES[b.kind]
+        a_b = getattr(sol, "branch_" + signal)[b.id]
+        total = sums[b.kind]
+        sums[b.kind] = total + a_b.multiply(a_b, unit=total.unit).scale(2.0 * weight * b.value)
+    w_m, w_e = sums[INDUCTOR], sums[CAPACITOR]
     return InstantaneousSet(
         p=p,
-        p_dissipated=p_d,
+        p_dissipated=sums[RESISTOR],
         w_magnetic=w_m,
         w_electric=w_e,
         w_stored=w_m + w_e,
@@ -360,45 +373,21 @@ class ClassicalSummary:
     i_rms: float
 
     def to_dict(self) -> dict:
-        return {
-            "lines": [
-                {"omega": ln.omega, "u_rms": ln.u_rms, "i_rms": ln.i_rms,
-                 "p": ln.p, "q": ln.q}
-                for ln in self.lines
-            ],
-            "p_mean": self.p_mean,
-            "q_budeanu": self.q_budeanu,
-            "s_apparent": self.s_apparent,
-            "u_rms": self.u_rms,
-            "i_rms": self.i_rms,
-        }
+        return {**asdict(self), "lines": [asdict(ln) for ln in self.lines]}
 
 
 def classical_summary(sol: NetworkSolution) -> ClassicalSummary:
-    """Per-line complex power and totals.
+    """Per-line complex power from the line table, and the totals.
 
-    Positive-frequency lines use half the product of peak phasors,
-    so p + jq = U_rms I_rms e^{j(phase gap)}.  A DC line enters at full
-    weight (p = U0*I0, q = 0), which keeps p_mean equal to the time
+    A positive-frequency line carries p + jq = U_rms I_rms e^{j(phase gap)}.
+    A DC line enters at full weight, which keeps p_mean equal to the time
     average of the instantaneous port power.
     """
-    entries = []
-    p_total = 0.0
-    q_total = 0.0
-    for ph in sol.per_line:
-        if ph.omega == 0.0:
-            p_k = ph.port_voltage.real * ph.port_current.real
-            q_k = 0.0
-            u_rms = abs(ph.port_voltage)
-            i_rms = abs(ph.port_current)
-        else:
-            s_k = 0.5 * ph.port_voltage * ph.port_current.conjugate()
-            p_k, q_k = s_k.real, s_k.imag
-            u_rms = abs(ph.port_voltage) / math.sqrt(2.0)
-            i_rms = abs(ph.port_current) / math.sqrt(2.0)
-        entries.append(LinePower(ph.omega, u_rms, i_rms, p_k, q_k))
-        p_total += p_k
-        q_total += q_k
+    lines = _LineAmplitudes(sol)
+    columns = (lines.omegas, lines.u_rms, lines.i_rms, lines.p, lines.q)
+    entries = tuple(map(LinePower, *(col.tolist() for col in columns)))
+    # running sums in line order; the builtin sum compensates on Python >= 3.12
+    p_total, q_total = (reduce(operator.add, col.tolist(), 0.0) for col in (lines.p, lines.q))
     u_norm = sol.source.rms()
     i_norm = sol.port_current.rms()
     s_app = u_norm * i_norm
@@ -408,7 +397,7 @@ def classical_summary(sol: NetworkSolution) -> ClassicalSummary:
             "apparent power fell below the per-line power totals"
         )
     return ClassicalSummary(
-        lines=tuple(entries),
+        lines=entries,
         p_mean=p_total,
         q_budeanu=q_total,
         s_apparent=s_app,
@@ -427,8 +416,8 @@ def budeanu(sol: NetworkSolution) -> float:
     """Budeanu reactive total, computed twice and cross-checked.
 
     Route one is the total of :func:`classical_summary`: the sum of the
-    per-line port reactive powers 1/2 Im(U_k conj I_k), which equals the
-    mean of the port's imaginary-power waveform.  Route two
+    line table's port values q_k, which equals the mean of the port's
+    imaginary-power waveform.  Route two
     differentiates the time-averaged reactive stored energy against the
     scale at s = 0, which turns into 2*omega_k per line applied to the
     magnetic-minus-electric energy of that line.  The two routes probe
@@ -462,11 +451,10 @@ def q_from_stored_energy(sol: NetworkSolution, omega) -> float:
     line = float(omegas[0])
     if not math.isclose(line, omega, rel_tol=COMMENSURATE_RTOL):
         raise ValueError(f"source line at {line!r} rad/s, not at {omega!r} rad/s")
-    ph = sol.per_line[0]
     q_energy = float(_stored_energy_q(sol)[0])
-    q_phasor = (0.5 * ph.port_voltage * ph.port_current.conjugate()).imag
-    scale = max(abs(q_phasor), abs(ph.port_voltage) * abs(ph.port_current) * 0.5)
-    if abs(q_energy - q_phasor) > 1e-10 * max(scale, 1e-300):
+    lines = _LineAmplitudes(sol)
+    q_phasor, s_phasor = float(lines.q[0]), float(lines.u_rms[0] * lines.i_rms[0])
+    if abs(q_energy - q_phasor) > 1e-10 * max(abs(q_phasor), s_phasor, 1e-300):
         raise ConsistencyError(
             f"stored-energy route {q_energy!r} disagrees with phasor route {q_phasor!r}"
         )
@@ -486,10 +474,7 @@ def scaled_time_means(sol: NetworkSolution, s_grid):
     _, s_arr = spectrum._grid((), s_grid)
     lines = _LineAmplitudes(sol)
     decay = np.exp(-2.0 * np.multiply.outer(lines.omegas, s_arr))
-    u, i = lines.port
-    mean_x = lines.reactive_energy() @ decay
-    mean_q = (0.5 * u * np.conj(i)).imag @ decay
-    return mean_x, mean_q
+    return lines.reactive_energy() @ decay, lines.q @ decay
 
 
 # ----------------------------------------------------------------------

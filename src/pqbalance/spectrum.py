@@ -257,6 +257,9 @@ class LineSpectrum:
                 raise ValueError(f"omega must be finite and >= 0, got {omega!r}")
             omegas.append(omega)
             amps.append(complex(amplitude))
+        if not omegas:  # the zero spectrum needs no search
+            self._store(np.empty(0, np.int64), np.empty(0), np.empty(0, complex), unit, None)
+            return
         base, found = _find_lattice([w for w in omegas if w > 0.0])
         found = iter(found)
         keys, first, sums = _sum_by_key(

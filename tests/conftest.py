@@ -108,8 +108,9 @@ def flicker_netlist():
 def lattice_searches(monkeypatch):
     """Sizes of the lattice searches run over non-empty frequency lists.
 
-    ``LineSpectrum.zero`` searches an empty list, which costs nothing and
-    is not recorded.
+    A spectrum without positive lines, such as ``LineSpectrum.dc``,
+    searches an empty list, which costs nothing and is not recorded.
+    ``LineSpectrum.zero`` returns before the search.
     """
     sizes = []
     search = spectrum._find_lattice

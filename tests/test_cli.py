@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pqbalance import power
 from pqbalance.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, load_config, main
 from pqbalance.network import solve
-from pqbalance.power import verify_balances
+from pqbalance.power import scaled, verify_balances
+from pqbalance.spectrum import LineSpectrum
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -281,6 +283,34 @@ def test_analyze_balance_json_is_the_verify_balances_report(bench_dir):
     report = verify_balances(solve(cfg.netlist, cfg.source), cfg.time_grid(), cfg.scale_grid())
     written = json.loads((out / "balance.json").read_text(encoding="utf-8"))
     assert written == report.to_dict()
+
+
+def test_analyze_forms_no_hilbert_transform(bench_dir, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze formed a Hilbert transform")
+
+    monkeypatch.setattr(LineSpectrum, "hilbert", refuse)
+    monkeypatch.setattr(power, "real_imaginary_power", refuse)
+    cfg = str(bench_dir / "flicker_config.json")
+    assert main(["analyze", "--config", cfg, "--out", str(bench_dir / "out")]) == EXIT_OK
+
+
+def test_analyze_power_columns_are_the_kernel_at_s_zero(bench_dir):
+    cfg_path = bench_dir / "flicker_config.json"
+    out = bench_dir / "out"
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    rows = (out / "instantaneous.csv").read_text(encoding="utf-8").splitlines()[1:]
+    p_col, q_col = (np.array([float(row.split(",")[k]) for row in rows]) for k in (7, 8))
+    cfg = load_config(cfg_path)
+    sol = solve(cfg.netlist, cfg.source)
+    t = cfg.time_grid()
+    sq = scaled(sol, t, [0.0])
+    assert p_col.tobytes() == sq.p[:, 0].tobytes() and q_col.tobytes() == sq.q[:, 0].tobytes()
+    # the four-product route of the line spectra agrees to rounding
+    p_t, q_t = power.real_imaginary_power(sol.source, sol.port_current)
+    bound = 1e-14 * np.max(np.hypot(sq.p, sq.q))
+    assert np.max(np.abs(p_col - p_t.evaluate(t))) <= bound
+    assert np.max(np.abs(q_col - q_t.evaluate(t))) <= bound
 
 
 def test_csv_uses_full_precision_and_lf(tmp_path):

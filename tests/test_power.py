@@ -1,14 +1,20 @@
 """Energy/power quantities and the three balance laws they must satisfy."""
 
+import ast
+import inspect
+import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from pqbalance import power
+from pqbalance import cli, power
 from pqbalance.network import Branch, CAPACITOR, INDUCTOR, Netlist, RESISTOR, solve
 from pqbalance.power import (
+    ClassicalSummary,
     ConsistencyError,
+    LinePower,
     active_balance,
     budeanu,
     classical_summary,
@@ -25,7 +31,7 @@ from pqbalance.power import (
     scaled_time_means,
     verify_balances,
 )
-from pqbalance.spectrum import AMPERE, VOLT, LineSpectrum
+from pqbalance.spectrum import AMPERE, JOULE, VOLT, WATT, LineSpectrum
 
 from conftest import solved_case
 
@@ -614,6 +620,169 @@ def test_q_routes_cross_check_on_random_single_tones(rng):
         q1 = q_from_stored_energy(sol, omega)
         q2 = classical_summary(sol).q_budeanu
         assert q1 == pytest.approx(q2, rel=1e-10, abs=1e-10)
+
+
+# ----------------------------------------------------------------------
+# the per-line table: one reader of per_line, one statement of the rules
+
+
+def parent_line_formulas(sol):
+    """Summary, stored-energy q per line and the six instantaneous spectra.
+
+    Written as power.py computed them before every per-line value came from
+    ``_LineAmplitudes``: a loop over ``per_line`` in Python complex
+    arithmetic, and an if/elif chain over the branch kinds.
+    """
+    entries, p_total, q_total = [], 0.0, 0.0
+    for ph in sol.per_line:
+        if ph.omega == 0.0:
+            p_k = ph.port_voltage.real * ph.port_current.real
+            q_k = 0.0
+            u_rms = abs(ph.port_voltage)
+            i_rms = abs(ph.port_current)
+        else:
+            s_k = 0.5 * ph.port_voltage * ph.port_current.conjugate()
+            p_k, q_k = s_k.real, s_k.imag
+            u_rms = abs(ph.port_voltage) / math.sqrt(2.0)
+            i_rms = abs(ph.port_current) / math.sqrt(2.0)
+        entries.append(LinePower(ph.omega, u_rms, i_rms, p_k, q_k))
+        p_total += p_k
+        q_total += q_k
+    summary = ClassicalSummary(tuple(entries), p_total, q_total,
+                               sol.source.rms() * sol.port_current.rms(),
+                               sol.source.rms(), sol.port_current.rms())
+    doc = {
+        "lines": [{"omega": ln.omega, "u_rms": ln.u_rms, "i_rms": ln.i_rms,
+                   "p": ln.p, "q": ln.q} for ln in entries],
+        "p_mean": p_total, "q_budeanu": q_total, "s_apparent": summary.s_apparent,
+        "u_rms": summary.u_rms, "i_rms": summary.i_rms,
+    }
+
+    branches, per_line = sol.netlist.branches, sol.per_line
+    weight = {INDUCTOR: 0.25, CAPACITOR: 0.25, RESISTOR: 0.5}
+    sign = {INDUCTOR: 1.0, CAPACITOR: -1.0, RESISTOR: 0.0}
+    rows = np.array(
+        [[(ph.voltage if b.kind == CAPACITOR else ph.current)[b.id] for ph in per_line]
+         for b in branches], dtype=complex,
+    ).reshape(len(branches), len(per_line))
+    c = np.array([weight[b.kind] * b.value for b in branches], dtype=float)
+    sigma = np.array([sign[b.kind] for b in branches], dtype=float)
+    omegas = np.array([ph.omega for ph in per_line], dtype=float)
+    q_stored = 2.0 * omegas * ((sigma * c) @ (np.abs(rows) ** 2))
+
+    p_d = LineSpectrum.zero(WATT)
+    w_m = LineSpectrum.zero(JOULE)
+    w_e = LineSpectrum.zero(JOULE)
+    for b in branches:
+        if b.kind == RESISTOR:
+            i_b = sol.branch_current[b.id]
+            p_d = p_d + i_b.multiply(i_b, unit=WATT).scale(b.value)
+        elif b.kind == INDUCTOR:
+            i_b = sol.branch_current[b.id]
+            w_m = w_m + i_b.multiply(i_b, unit=JOULE).scale(0.5 * b.value)
+        else:
+            u_b = sol.branch_voltage[b.id]
+            w_e = w_e + u_b.multiply(u_b, unit=JOULE).scale(0.5 * b.value)
+    spectra = dict(p=sol.source.multiply(sol.port_current), p_dissipated=p_d,
+                   w_magnetic=w_m, w_electric=w_e, w_stored=w_m + w_e, x_reactive=w_m - w_e)
+    return summary, doc, q_stored, spectra
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_per_line_table_matches_the_parent_formulas_bit_for_bit():
+    rng = np.random.default_rng(9090)
+    sols = [solved_case(rng, allow_dc=True) for _ in range(300)]
+    assert sum(sol.source.omegas[0] == 0.0 for sol in sols) >= 40
+    tones = [solved_case(rng, source=LineSpectrum.tone(float(rng.uniform(0.2, 8.0)),
+                                                       complex(*rng.normal(size=2)), VOLT))
+             for _ in range(30)]
+    multi = LineSpectrum.from_lines([(0.0, -1.0), (2.0, 5.0), (6.0, 1.0 - 2.0j)], VOLT)
+    sols += tones + [
+        solve(rlc_net(), LineSpectrum.zero(VOLT)),
+        solve(rlc_net(), LineSpectrum.dc(3.0, VOLT)),
+        solve(one_branch(RESISTOR, 3.0), multi),
+        solve(one_branch(CAPACITOR, 0.3), multi),
+        solve(one_branch(CAPACITOR, 0.3), LineSpectrum.tone(1.5, 2.0 - 1.0j, VOLT)),
+    ]
+    single = 0
+    for k, sol in enumerate(sols):
+        want, doc, q_stored, spectra = parent_line_formulas(sol)
+        got = classical_summary(sol)
+        assert repr(got) == repr(want), k  # every field, its type and its bits
+        assert all(same_bits(getattr(got, f), getattr(want, f))
+                   for f in ("p_mean", "q_budeanu", "s_apparent", "u_rms", "i_rms")), k
+        for mine, theirs in zip(got.lines, want.lines):
+            assert all(same_bits(x, y) for x, y in zip(astuple(mine), astuple(theirs))), k
+        assert got.to_dict() == doc
+        assert json.dumps(got.to_dict(), indent=2) == json.dumps(doc, indent=2), k
+        assert same_bits(budeanu(sol), want.q_budeanu), k
+        assert same_bits(power._stored_energy_q(sol), q_stored), k
+        omegas = sol.source.omegas
+        if omegas.size == 1 and omegas[0] > 0.0:
+            single += 1
+            assert same_bits(q_from_stored_energy(sol, omegas[0]), q_stored[0]), k
+        iset = instantaneous(sol)
+        for name, spectrum in spectra.items():
+            mine = getattr(iset, name)
+            assert mine.unit == spectrum.unit and mine.omega0 == spectrum.omega0, (k, name)
+            for arr in ("_keys", "_omegas", "_amps"):
+                assert same_bits(getattr(mine, arr), getattr(spectrum, arr)), (k, name, arr)
+    assert single >= 30
+
+
+def test_mean_q_stays_within_rounding_of_the_complex_product(rng):
+    # Per line, either form of 1/2 Im(U conj I) is within eps * 1/2|U||I| of
+    # the exact value, so the two differ by at most twice that.  The sum over
+    # L lines rounds each side once more, by at most (L/2) eps of its terms.
+    eps = np.finfo(float).eps
+    for _ in range(100):
+        sol = solved_case(rng, allow_dc=True)
+        lines = power._LineAmplitudes(sol)
+        u, i = lines.port
+        s = default_s_grid(sol.source, 12)
+        decay = np.exp(-2.0 * np.multiply.outer(lines.omegas, s))
+        half = 0.5 * np.abs(u) * np.abs(i)
+        _, mean_q = scaled_time_means(sol, s)
+        assert np.all(np.abs(mean_q - (0.5 * u * np.conj(i)).imag @ decay)
+                      <= (2 + u.size) * eps * (half @ decay))
+
+
+def test_classical_summary_builds_no_branch_rows(rng, monkeypatch):
+    def refuse(self):
+        raise AssertionError("branch rows built")
+
+    monkeypatch.setattr(power._LineAmplitudes, "branch", property(refuse))
+    for _ in range(20):
+        sol = solved_case(rng, allow_dc=True)
+        classical_summary(sol)
+    with pytest.raises(AssertionError, match="branch rows built"):
+        power._stored_energy_q(sol)
+
+
+def test_per_line_phasors_have_one_reader():
+    def named(tree):
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        return names
+
+    tree = ast.parse(inspect.getsource(power))
+    table = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "_LineAmplitudes")
+    inside = {id(node) for node in ast.walk(table)}
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "per_line"]
+    assert reads and all(id(node) in inside for node in reads)
+    assert "real_imaginary_power" not in named(ast.parse(inspect.getsource(cli)))
 
 
 # ----------------------------------------------------------------------
