@@ -30,9 +30,9 @@ _BLOCK = 64
 # Samples per row of _uniform_samples: one complex exponential per line
 # and row start, and one per line and offset within a row.
 _ROW = 256
-# Source samples formed at once, a whole number of blocks; bounds the
-# sample buffer of _uniform_samples and the temporaries of one
-# block-stepper call.
+# Steps advanced per block-stepper call, a whole number of blocks; bounds
+# the temporaries of one call and the repeated-period sample buffer of
+# _periodic_samples.
 _CHUNK = 16384
 
 
@@ -93,6 +93,30 @@ def _uniform_samples(f: LineSpectrum, t0, h, lo, hi) -> np.ndarray:
         out += np.multiply.outer(anchor_re[k], fine_re[k])
         out -= np.multiply.outer(anchor_im[k], fine_im[k])
     return out.ravel()[lo - first * _ROW:hi - first * _ROW]
+
+
+def _periodic_samples(source: LineSpectrum, dt, steps_per_period):
+    """The source at the time steps t = dt*k, sampled over one period only.
+
+    Steps k < steps_per_period are sampled once by per-line rotation
+    (_uniform_samples), and step k takes sample k mod steps_per_period.
+    That is the source itself when it repeats exactly over
+    dt*steps_per_period, its common period; a constant repeats over any
+    span.  So a sample past the first period carries the rounding of its
+    first-period twin only, not a phase error that grows with t.  Returns
+    a function mapping lo <= hi <= lo + _CHUNK to the samples of steps
+    lo .. hi-1, as a read-only view of one buffer that holds the period
+    repeated over steps_per_period - 1 + _CHUNK samples.
+    """
+    spp = steps_per_period
+    tiled = np.resize(_uniform_samples(source, 0.0, dt, 0, spp), spp - 1 + _CHUNK)
+    tiled.flags.writeable = False
+
+    def samples(lo, hi):
+        start = lo % spp
+        return tiled[start:start + hi - lo]
+
+    return samples
 
 
 # ----------------------------------------------------------------------
@@ -283,6 +307,11 @@ def _integrate(net, source, periods, steps_per_period, kept_periods):
     sample from t = 0) and ode_steady_state.  Samples before the kept
     window are computed but never stored.  Its warnings are filed at the
     line that called the public function.
+
+    Every period is driven by the source sampled over the first one
+    (_periodic_samples), so the source is assumed to repeat exactly over
+    source.period; ode_transient bounds the phase gap of a line off its
+    lattice multiple.
     """
     if source.unit != VOLT:
         raise ValueError(f"source must be tagged {VOLT!r}, got {source.unit!r}")
@@ -337,11 +366,12 @@ def _integrate(net, source, periods, steps_per_period, kept_periods):
         if skip < values.size:
             port[lo + skip - first:lo + values.size - first] = values[skip:]
 
-    x = start_drive * _uniform_samples(source, 0.0, dt, 1, 2)[0]
+    samples = _periodic_samples(source, dt, steps_per_period)
+    x = start_drive * samples(1, 2)[0]
     keep(0, np.array([0.0, x[src]]))
     z = np.concatenate([x, np.zeros(size)])
     for lo in range(2, n_steps + 1, _CHUNK):
-        y, z = advance(z, _uniform_samples(source, 0.0, dt, lo, min(lo + _CHUNK, n_steps + 1)))
+        y, z = advance(z, samples(lo, min(lo + _CHUNK, n_steps + 1)))
         keep(lo, y)
     x = z[:size]
 
@@ -375,13 +405,18 @@ def ode_transient(net: Netlist, source: LineSpectrum, periods=50, steps_per_peri
     each block of 64 steps is a few matrix products, and the hops from
     one block's start state to the next are solved as a prefix scan over
     each chunk of blocks (_block_stepper).  The source is sampled at
-    t = dt*k by per-line rotation (_uniform_samples), one chunk of
-    _CHUNK samples at a time: one complex exponential per line and row of
-    256 samples, not one per line and sample.  The returned signal starts
-    at t = 0 and has periods*steps_per_period + 1 samples.
+    t = dt*k, k < steps_per_period, by per-line rotation
+    (_uniform_samples), and that one period drives every later period
+    too (_periodic_samples).  This assumes the source repeats exactly
+    over source.period, as a source on its lattice does; a line off its
+    lattice multiple by a relative delta <= COMMENSURATE_RTOL is driven at
+    the lattice frequency, a phase gap of at most 2*pi*periods*n*delta for
+    lattice index n.  The returned signal starts at t = 0 and has
+    periods*steps_per_period + 1 samples; it takes over the integrator's
+    buffer without a copy.
     """
     port, state, dt = _integrate(net, source, periods, steps_per_period, None)
-    return SampledSignal(0.0, dt, port), state
+    return SampledSignal._taking(0.0, dt, port), state
 
 
 def ode_steady_state(net: Netlist, source: LineSpectrum, periods=50,
@@ -431,7 +466,7 @@ def fft_hilbert(x: SampledSignal) -> SampledSignal:
     weights[1:n // 2] = 2.0
     weights[n // 2] = 1.0
     analytic = np.fft.ifft(spectrum_bins * weights)
-    return SampledSignal(x.t0, x.dt, analytic.imag.copy())
+    return SampledSignal._taking(x.t0, x.dt, analytic.imag.copy())
 
 
 # ----------------------------------------------------------------------

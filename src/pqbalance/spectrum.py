@@ -192,9 +192,25 @@ class SampledSignal:
     samples: np.ndarray
 
     def __post_init__(self):
+        self._hold(self.samples, copy=True)
+
+    @classmethod
+    def _taking(cls, t0, dt, samples):
+        """A signal whose samples are ``samples`` itself, made read-only.
+
+        For a fresh float64 array that nothing else refers to, such as an
+        oracle's output buffer; the constructor would copy it.
+        """
+        signal = cls.__new__(cls)
+        object.__setattr__(signal, "t0", t0)
+        object.__setattr__(signal, "dt", dt)
+        signal._hold(samples, copy=False)
+        return signal
+
+    def _hold(self, samples, copy):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
-        samples = np.array(self.samples, dtype=float)
+        samples = np.array(samples, dtype=float, copy=copy)
         if samples.ndim != 1 or samples.size < 1:
             raise ValueError("samples must be a non-empty 1-d array")
         if not np.all(np.isfinite(samples)):

@@ -30,8 +30,19 @@ from pqbalance.oracle import (
     quadrature_analytic,
     quadrature_tail_bound,
 )
-from pqbalance.oracle import _factored, _time_domain_matrices, _uniform_samples
-from pqbalance.spectrum import AMPERE, VOLT, ComplexTimePoint, LineSpectrum
+from pqbalance.oracle import (
+    _factored,
+    _periodic_samples,
+    _time_domain_matrices,
+    _uniform_samples,
+)
+from pqbalance.spectrum import (
+    AMPERE,
+    COMMENSURATE_RTOL,
+    VOLT,
+    ComplexTimePoint,
+    LineSpectrum,
+)
 
 from conftest import random_netlist, random_source
 
@@ -220,12 +231,65 @@ def test_uniform_samples_edge_cases(flicker_source):
         assert_samples_match_evaluate(flicker_source, 1.5, h, lo, hi)
 
 
+def periodic_samples_bound(source, period):
+    """4 eps sum |A_k| (1 + omega_max T): the rotation bound of one period T."""
+    eps = np.finfo(float).eps
+    omega_max = source.omega_max or 0.0
+    return 4.0 * eps * float(np.sum(np.abs(source.amplitudes))) * (1.0 + omega_max * period)
+
+
+def assert_periodic_samples_match_evaluate(source, steps_per_period, ranges):
+    # a source on its lattice takes at dt*k the value it takes at
+    # dt*(k mod steps_per_period), where evaluate carries no phase error
+    # that grows with k
+    period = source.period if source.period is not None else 2.0 * math.pi
+    dt = period / steps_per_period
+    samples = _periodic_samples(source, dt, steps_per_period)
+    bound = periodic_samples_bound(source, period)
+    for lo, hi in ranges:
+        got = samples(lo, hi)
+        assert got.shape == (hi - lo,) and not got.flags.writeable
+        want = source.evaluate(dt * (np.arange(lo, hi) % steps_per_period))
+        assert np.max(np.abs(got - want), initial=0.0) <= bound
+
+
+def test_periodic_samples_match_evaluate_at_every_step():
+    rng = np.random.default_rng(31415926)
+    sources = [random_source(rng, allow_dc=True) for _ in range(300)]
+    for spp in (6, 37, 1500, 8192):
+        # the longest slice at the largest offset, late in a 50-period run
+        longest = (49 * spp - 1, 49 * spp - 1 + oracle._CHUNK)
+        assert_periodic_samples_match_evaluate(sources[0], spp, [longest])
+        for source in sources:
+            lo = int(rng.integers(spp, 50 * spp))
+            hi = lo + int(rng.integers(0, min(oracle._CHUNK, 2 * spp + 2) + 1))
+            assert_periodic_samples_match_evaluate(source, spp, [(0, spp), (lo, hi)])
+
+
+@pytest.mark.parametrize("source", [
+    LineSpectrum.dc(-2.5, VOLT),
+    LineSpectrum.zero(VOLT),
+    LineSpectrum.from_lines([(1.0, 2.0), (3.0, 0.5j)], VOLT),
+], ids=["dc-only", "zero", "two-lines"])
+@pytest.mark.parametrize("steps_per_period", [2, 37])
+def test_periodic_samples_edge_cases(source, steps_per_period):
+    spp = steps_per_period
+    ranges = [(0, 1), (1, 2), (0, spp), (spp - 1, spp + 1), (5 * spp, 5 * spp),
+              (7 * spp + 1, 7 * spp + 1 + oracle._CHUNK)]
+    assert_periodic_samples_match_evaluate(source, spp, ranges)
+
+
 # ----------------------------------------------------------------------
 # block stepping against the per-step recursion
 
 
-def loop_transient(net, source, periods, steps_per_period):
-    """Reference: the BDF2 recursion stepped one sample at a time."""
+def loop_transient(net, source, periods, steps_per_period, literal=False):
+    """Reference: the BDF2 recursion stepped one sample at a time.
+
+    Each step takes its source sample from the oracle's own drive
+    (_periodic_samples), so block and loop stepping are compared on one
+    drive; literal=True samples the source at every step instead.
+    """
     period = source.period if source.period is not None else 2.0 * math.pi
     dt = period / steps_per_period
     g, c, node_at, ind_at, src = _time_domain_matrices(net)
@@ -239,7 +303,11 @@ def loop_transient(net, source, periods, steps_per_period):
     drive = main(rhs_vec)
 
     n_steps = periods * steps_per_period
-    u = _uniform_samples(source, 0.0, dt, 0, n_steps + 1)
+    if literal:
+        u = _uniform_samples(source, 0.0, dt, 0, n_steps + 1)
+    else:
+        samples = _periodic_samples(source, dt, steps_per_period)
+        u = np.array([samples(n, n + 1)[0] for n in range(n_steps + 1)])
     x_prev = np.zeros(g.shape[0])
     x = start_drive * u[1]
     port = np.empty(n_steps + 1)
@@ -432,6 +500,65 @@ def test_steady_state_does_not_hold_the_transient(flicker_netlist, flicker_sourc
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_transient_holds_its_samples_once(flicker_netlist, flicker_source):
+    # 50 x 8192 steps: the signal takes over the integrator's buffer
+    ode_transient(flicker_netlist, flicker_source, 10, 64)  # warm any caches
+    tracemalloc.start()
+    try:
+        sig, _ = ode_transient(flicker_netlist, flicker_source, 50, 8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sig.samples.nbytes == (50 * 8192 + 1) * 8
+    assert peak < 1.3 * sig.samples.nbytes
+    assert not sig.samples.flags.writeable
+
+
+# ----------------------------------------------------------------------
+# one sampled period drives every step
+
+
+def test_integrators_sample_one_period_and_quadrature_every_node(
+        monkeypatch, flicker_netlist, flicker_source):
+    calls = []
+    sampler = oracle._uniform_samples
+
+    def counted(f, t0, h, lo, hi):
+        calls.append(hi - lo)
+        return sampler(f, t0, h, lo, hi)
+
+    monkeypatch.setattr(oracle, "_uniform_samples", counted)
+    for integrate in (ode_transient, ode_steady_state):
+        for periods, spp in ((50, 8192), (12, 1500), (10, 2)):
+            calls.clear()
+            integrate(flicker_netlist, flicker_source, periods, spp)
+            assert calls == [spp]
+    calls.clear()
+    cfg = QuadratureConfig(half_width=50.0, panels=512)
+    quadrature_analytic(flicker_source, ComplexTimePoint(0.3, 0.5), cfg)
+    assert calls == [cfg.panels + 1]
+
+
+def test_off_lattice_source_stays_within_its_phase_bound():
+    # the 3rd harmonic sits off its lattice multiple by half the tolerance
+    # the lattice search accepts; the oracle drives it at the lattice
+    # frequency, so its phase departs from the literal line's by at most
+    # 2 pi periods n delta
+    delta = 0.5 * COMMENSURATE_RTOL
+    source = LineSpectrum.from_lines([(1.0, 2.0), (3.0 * (1.0 + delta), 0.5j)], VOLT)
+    assert source.omega0 == 1.0 and source.omegas[-1] == 3.0 * (1.0 + delta)
+    periods, spp, n_max = 50, 64, 3
+    net = series_rl()
+    steady = ode_steady_state(net, source, periods, spp)
+    literal, _ = loop_transient(net, source, periods, spp, literal=True)
+    want = literal[(periods - 1) * spp:periods * spp]
+    scale = np.max(np.abs(want))
+    gap = np.max(np.abs(steady.samples - want))
+    phase_bound = 2.0 * math.pi * periods * n_max * COMMENSURATE_RTOL
+    assert 1e-10 * scale < gap <= phase_bound * scale
+    assert gap <= 1e-2 * 1e-4 * scale  # far inside the oracle's 1e-4 gate
 
 
 # ----------------------------------------------------------------------

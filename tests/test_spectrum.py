@@ -121,6 +121,27 @@ def test_sampled_signal_validation():
         SampledSignal(0.0, 0.5, [1.0, math.nan])
 
 
+def test_sampled_signal_copies_a_callers_array():
+    a = np.array([1.0, 2.0, 3.0])
+    sig = SampledSignal(0, 1, a)
+    assert a.flags.writeable and not sig.samples.flags.writeable
+    a[0] = 7.0
+    assert sig.samples.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_sampled_signal_can_take_over_a_fresh_array():
+    owned = np.array([1.0, 2.0, 3.0])
+    sig = SampledSignal._taking(0.5, 0.25, owned)
+    assert sig.samples is owned and not owned.flags.writeable
+    assert (sig.t0, sig.dt, len(sig)) == (0.5, 0.25, 3)
+    with pytest.raises(ValueError, match="dt must be finite"):
+        SampledSignal._taking(0.0, 0.0, np.ones(2))
+    with pytest.raises(ValueError, match="finite"):
+        SampledSignal._taking(0.0, 0.5, np.array([1.0, math.nan]))
+    with pytest.raises(ValueError, match="non-empty 1-d"):
+        SampledSignal._taking(0.0, 0.5, np.ones((2, 2)))
+
+
 def test_records_round_trip(flicker_source):
     records = flicker_source.to_records()
     assert records[0] == {"omega": 0.8, "re": 0.5 * ROOT2, "im": 0.0}
