@@ -231,21 +231,14 @@ def test_uniform_samples_edge_cases(flicker_source):
         assert_samples_match_evaluate(flicker_source, 1.5, h, lo, hi)
 
 
-def periodic_samples_bound(source, period):
-    """4 eps sum |A_k| (1 + omega_max T): the rotation bound of one period T."""
-    eps = np.finfo(float).eps
-    omega_max = source.omega_max or 0.0
-    return 4.0 * eps * float(np.sum(np.abs(source.amplitudes))) * (1.0 + omega_max * period)
-
-
 def assert_periodic_samples_match_evaluate(source, steps_per_period, ranges):
     # a source on its lattice takes at dt*k the value it takes at
     # dt*(k mod steps_per_period), where evaluate carries no phase error
-    # that grows with k
+    # that grows with k; every step is held to the bound of one period
     period = source.period if source.period is not None else 2.0 * math.pi
     dt = period / steps_per_period
     samples = _periodic_samples(source, dt, steps_per_period)
-    bound = periodic_samples_bound(source, period)
+    bound = rotation_bound(source, [period])
     for lo, hi in ranges:
         got = samples(lo, hi)
         assert got.shape == (hi - lo,) and not got.flags.writeable
