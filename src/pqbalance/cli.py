@@ -25,6 +25,7 @@ from .network import Netlist, SingularNetworkError, solve
 from .power import (
     ConsistencyError,
     _balance_report,
+    _power_at_zero_scale,
     budeanu,
     classical_summary,
     default_s_grid,
@@ -258,7 +259,7 @@ def run_analyze(cfg: AnalysisConfig, out_dir) -> int:
 
     if "csv" in cfg.formats:
         # P_t and Q_t: Re and Im of 1/2 u_a conj(i_a) at s = 0
-        s_zero = scaled(sol, t_arr, [0.0])
+        p_t, q_t = _power_at_zero_scale(sq)
         _write_csv(
             out / "instantaneous.csv",
             ["t", "p", "p_d", "w_m", "w_e", "w", "x", "P_t", "Q_t"],
@@ -270,8 +271,8 @@ def run_analyze(cfg: AnalysisConfig, out_dir) -> int:
                 iset.w_electric.evaluate(t_arr),
                 iset.w_stored.evaluate(t_arr),
                 iset.x_reactive.evaluate(t_arr),
-                s_zero.p[:, 0],
-                s_zero.q[:, 0],
+                p_t,
+                q_t,
             ],
         )
         for k, name in enumerate(scale_files):

@@ -284,6 +284,18 @@ def scaled(sol: NetworkSolution, t_grid, s_grid) -> ScaledQuantities:
     )
 
 
+def _power_at_zero_scale(sq: ScaledQuantities):
+    """``p`` and ``q`` of ``scaled(sol, sq.t, [0.0])``, from the port rows alone.
+
+    The same kernel call on the two port rows of ``scaled``'s stack gives the
+    same bits, without evaluating the branch rows a second time.
+    """
+    lines = sq._lines
+    u_a, i_a = spectrum._analytic(lines.omegas, lines.port, sq.t, np.zeros(1))[..., 0]
+    s_complex = 0.5 * u_a * np.conj(i_a)
+    return s_complex.real, s_complex.imag
+
+
 def _reactive_gap(sq: ScaledQuantities) -> np.ndarray:
     """|-dX/ds - Q| on the grid."""
     return np.abs(-sq._dx_ds - sq.q)

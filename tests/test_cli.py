@@ -313,6 +313,16 @@ def test_analyze_power_columns_are_the_kernel_at_s_zero(bench_dir):
     assert np.max(np.abs(q_col - q_t.evaluate(t))) <= bound
 
 
+def test_analyze_evaluates_the_branches_once(bench_dir, kernel_calls):
+    cfg = str(bench_dir / "flicker_config.json")
+    assert main(["analyze", "--config", cfg, "--out", str(bench_dir / "out")]) == EXIT_OK
+    # scaled: port u and i, r1 and c1, the rate of c1; then P_t and Q_t from
+    # the port rows alone; then the two finite-difference gaps on c1
+    n_t, n_s = kernel_calls[0][1:]
+    assert kernel_calls[:2] == [(5, n_t, n_s), (2, n_t, 1)]
+    assert all(shape[0] == 2 for shape in kernel_calls[2:])
+
+
 def test_csv_uses_full_precision_and_lf(tmp_path):
     path = simple_setup(tmp_path, extra={"t_grid": {"values": [1.0 / 3.0]}})
     out = tmp_path / "o"

@@ -438,6 +438,20 @@ def test_scaled_matches_the_parent_grid_formulas_bit_for_bit():
             assert d_ds_fd_gap(sq, h_s) == gap_s, k
 
 
+def test_power_at_zero_scale_is_scaled_at_zero_bit_for_bit():
+    rng = np.random.default_rng(8128)
+    sols = [solved_case(rng, allow_dc=True) for _ in range(30)]
+    sols += [solved_case(rng, max_lines=12, allow_dc=True) for _ in range(10)]
+    sols.append(solve(rlc_net(), LineSpectrum.zero(VOLT)))
+    for k, sol in enumerate(sols):
+        period = sol.source.period or 1.0
+        t = rng.uniform(-2.0, 2.0, 1 + k % 40) * period
+        want = scaled(sol, t, [0.0])
+        p_t, q_t = power._power_at_zero_scale(scaled(sol, t, default_s_grid(sol.source, 5)))
+        assert p_t.tobytes() == want.p[:, 0].tobytes(), k
+        assert q_t.tobytes() == want.q[:, 0].tobytes(), k
+
+
 def test_scaled_and_its_checks_make_one_kernel_call_each(flicker_solution, kernel_calls):
     t, s = np.linspace(0.0, 6.0, 8), np.array([0.0, 0.5, 1.0])
     sq = scaled(flicker_solution, t, s)
