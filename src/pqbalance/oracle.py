@@ -30,9 +30,9 @@ _BLOCK = 64
 # Samples per row of _uniform_samples: one complex exponential per line
 # and row start, and one per line and offset within a row.
 _ROW = 256
-# Steps advanced per block-stepper call, a whole number of blocks; bounds
-# the temporaries of one call and the repeated-period sample buffer of
-# _periodic_samples.
+# Steps per block-stepper call after period 0, at most, taken as whole
+# periods (one period when it is longer); bounds the temporaries of one
+# call and the repeated-period drive.
 _CHUNK = 16384
 # Smallest normal float64; _flushed sets entries below it to zero.
 _TINY = np.finfo(float).tiny
@@ -71,54 +71,29 @@ class QuadratureConfig:
 # uniform sampling
 
 
-def _uniform_samples(f: LineSpectrum, t0, h, lo, hi) -> np.ndarray:
-    """Samples f(t0 + h*k) for lo <= k < hi, by per-line rotation.
+def _uniform_samples(f: LineSpectrum, t0, h, n) -> np.ndarray:
+    """Samples f(t0 + h*k) for 0 <= k < n, by per-line rotation.
 
     With k = a*_ROW + b, line omega contributes
     Re{A e^{j omega (t0 + h*_ROW*a)} e^{j omega h b}}: one complex
     exponential per line and row a, and one per line and offset
     b < _ROW, instead of one per line and sample.  Each factor is formed
     directly from its own time, so no phase error accumulates along the
-    grid, and the products are summed line by line in real arithmetic, so
-    a sample depends on k alone, not on the range it was requested in.
+    grid, and the products are summed line by line in real arithmetic.
     """
-    first, last = lo // _ROW, -(-hi // _ROW)
     omegas, amps = f.omegas, f.amplitudes
-    coarse = np.multiply.outer(omegas, t0 + (h * _ROW) * np.arange(first, last))
+    rows = -(-n // _ROW)
+    coarse = np.multiply.outer(omegas, t0 + (h * _ROW) * np.arange(rows))
     fine = np.multiply.outer(omegas, h * np.arange(_ROW))
     cos, sin = np.cos(coarse), np.sin(coarse)
     anchor_re = amps.real[:, None] * cos - amps.imag[:, None] * sin
     anchor_im = amps.real[:, None] * sin + amps.imag[:, None] * cos
     fine_re, fine_im = np.cos(fine), np.sin(fine)
-    out = np.zeros((last - first, _ROW))
+    out = np.zeros((rows, _ROW))
     for k in range(omegas.size):
         out += np.multiply.outer(anchor_re[k], fine_re[k])
         out -= np.multiply.outer(anchor_im[k], fine_im[k])
-    return out.ravel()[lo - first * _ROW:hi - first * _ROW]
-
-
-def _periodic_samples(source: LineSpectrum, dt, steps_per_period):
-    """The source at the time steps t = dt*k, sampled over one period only.
-
-    Steps k < steps_per_period are sampled once by per-line rotation
-    (_uniform_samples), and step k takes sample k mod steps_per_period.
-    That is the source itself when it repeats exactly over
-    dt*steps_per_period, its common period; a constant repeats over any
-    span.  So a sample past the first period carries the rounding of its
-    first-period twin only, not a phase error that grows with t.  Returns
-    a function mapping lo <= hi <= lo + _CHUNK to the samples of steps
-    lo .. hi-1, as a read-only view of one buffer that holds the period
-    repeated over steps_per_period - 1 + _CHUNK samples.
-    """
-    spp = steps_per_period
-    tiled = np.resize(_uniform_samples(source, 0.0, dt, 0, spp), spp - 1 + _CHUNK)
-    tiled.flags.writeable = False
-
-    def samples(lo, hi):
-        start = lo % spp
-        return tiled[start:start + hi - lo]
-
-    return samples
+    return out.ravel()[:n]
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +226,8 @@ def _block_stepper(step, drive, out):
     Hillis-Steele order: a row of z followed by the kicks, then for
     d = 1, 2, 4, ... every row takes hop^d times the row d above it.
     That is log2(blocks) matrix products instead of one Python step per
-    block.
+    block.  The powers hop^d are formed once, the first time a call has
+    enough blocks to need them, so a call may be of any length.
 
     The powers are formed in np.longdouble and rounded once, each
     hop^(2^k) by repeated squaring.  Formed in float64, step^K would carry
@@ -275,14 +251,15 @@ def _block_stepper(step, drive, out):
     free = _flushed(free)
     toeplitz = linalg.toeplitz(_flushed(pushed[out]), np.zeros(_BLOCK))
     control = _flushed(pushed[:, ::-1])
-    hops = []  # hop^(2^k), enough for the blocks of one chunk
+    hops = []  # hop^(2^k), as many as the longest call so far needs
     power = np.linalg.matrix_power(wide, _BLOCK)
-    for _ in range((_CHUNK // _BLOCK).bit_length()):
-        hops.append(_flushed(power))
-        power = power @ power
 
     def advance(z, u):
+        nonlocal power
         full, rest = divmod(u.size, _BLOCK)
+        while len(hops) < full.bit_length():
+            hops.append(_flushed(power))
+            power = power @ power
         blocks = u[:full * _BLOCK].reshape(full, _BLOCK)
         scan = np.empty((full + 1, size))
         scan[0] = z
@@ -336,12 +313,16 @@ def _integrate(net, source, periods, steps_per_period, kept_periods):
     sample from t = 0) and ode_steady_state (kept_periods=2).  Its
     warnings are filed at the line that called the public function.
 
-    Every period is driven by the source sampled over the first one
-    (_periodic_samples), so the source is assumed to repeat exactly over
-    source.period; ode_transient bounds the phase gap of a line off its
-    lattice multiple.  With kept_periods=None every step is taken.
-    Otherwise only period 0 (from rest, with the backward-Euler start) and
-    the kept periods are stepped.  Every period after the first gets the
+    Period p is steps p*spp + 1 .. (p+1)*spp.  The source is sampled at
+    t = dt*k, k < spp, once, and that period drives every period, so the
+    source is assumed to repeat exactly over source.period; ode_transient
+    bounds the phase gap of a line off its lattice multiple.  Step 1 is
+    the backward-Euler start from rest, and one stepper call takes the
+    rest of period 0.  Every later call starts on a period boundary and
+    takes whole periods, at most max(_CHUNK, spp) steps, so its drive is
+    a prefix of one tiled copy of the sampled period, and its samples
+    fill one slice of the port buffer.  With kept_periods=None every
+    period is stepped.  Otherwise every period after the first gets the
     same drive, so the stacked state at its end is the affine map
     z -> step^spp @ z + forced of the state at its start, where `forced`
     is one period stepped from zero; the periods between period 0 and the
@@ -395,36 +376,33 @@ def _integrate(net, source, periods, steps_per_period, kept_periods):
     n_steps = periods * spp
     first = 0 if kept_periods is None else (periods - kept_periods) * spp
     port = np.empty(n_steps + 1 - first)
+    # u[j] drives step p*spp + 1 + j of every period p: the one sampled
+    # period, rolled by a step and repeated over the periods of one call
+    group = max(_CHUNK // spp, 1)  # periods per call
+    u = np.tile(np.roll(_uniform_samples(source, 0.0, dt, spp), -1), group)
+    u.flags.writeable = False
 
-    def keep(lo, values):
-        """Store the samples of steps lo, lo+1, ... that fall in the window."""
-        skip = max(first - lo, 0)
-        if skip < values.size:
-            port[lo + skip - first:lo + values.size - first] = values[skip:]
-
-    samples = _periodic_samples(source, dt, spp)
-
-    def run(z, lo, hi):
-        """The state after steps lo .. hi-1 from state z, keeping their samples."""
-        for at in range(lo, hi, _CHUNK):
-            y, z = advance(z, samples(at, min(at + _CHUNK, hi)))
-            keep(at, y)
+    def run(z, p, count):
+        """The state after periods p .. p+count-1 from state z, storing their samples."""
+        for q in range(p, p + count, group):
+            at = q * spp + 1 - first
+            y, z = advance(z, u[:min(group, p + count - q) * spp])
+            port[at:at + y.size] = y
         return z
 
-    x = start_drive * samples(1, 2)[0]
-    keep(0, np.array([0.0, x[src]]))
-    z = np.concatenate([x, np.zeros(size)])
+    x = start_drive * u[0]
+    y, z = advance(np.concatenate([x, np.zeros(size)]), u[1:spp])
     if kept_periods is None:
-        z = run(z, 2, n_steps + 1)
+        port[:2] = 0.0, x[src]
+        port[2:spp + 1] = y
+        z = run(z, 1, periods - 1)
     else:
-        z = run(z, 2, spp + 1)
-        # period 1 from zero; it lies before the window, so nothing is kept
-        forced = run(np.zeros(2 * size), spp + 1, 2 * spp + 1)
+        forced = advance(np.zeros(2 * size), u[:spp])[1]
         power, offset = _affine_power(
             _affine_power(step, np.zeros(2 * size), spp)[0], forced, first // spp - 1)
         z = (power @ z + offset).astype(float)
-        keep(first, z[src:src + 1])
-        z = run(z, first + 1, n_steps + 1)
+        port[0] = z[src]
+        z = run(z, periods - kept_periods, kept_periods)
     x = z[:size]
 
     def volt_of(name):
@@ -456,16 +434,16 @@ def ode_transient(net: Netlist, source: LineSpectrum, periods=50, steps_per_peri
     block-state-space form of Burrus (IEEE Trans. Circuit Theory, 1971):
     each block of 64 steps is a few matrix products, and the hops from
     one block's start state to the next are solved as a prefix scan over
-    each chunk of blocks (_block_stepper).  The source is sampled at
-    t = dt*k, k < steps_per_period, by per-line rotation
-    (_uniform_samples), and that one period drives every later period
-    too (_periodic_samples).  This assumes the source repeats exactly
-    over source.period, as a source on its lattice does; a line off its
-    lattice multiple by a relative delta <= COMMENSURATE_RTOL is driven at
-    the lattice frequency, a phase gap of at most 2*pi*periods*n*delta for
-    lattice index n.  The returned signal starts at t = 0 and has
-    periods*steps_per_period + 1 samples; it takes over the integrator's
-    buffer without a copy.
+    the blocks of one call (_block_stepper); after period 0 a call takes
+    whole periods.  The source is sampled at t = dt*k,
+    k < steps_per_period, by per-line rotation (_uniform_samples), and
+    that one period drives every period (_integrate).  This assumes the
+    source repeats exactly over source.period, as a source on its lattice
+    does; a line off its lattice multiple by a relative
+    delta <= COMMENSURATE_RTOL is driven at the lattice frequency, a phase
+    gap of at most 2*pi*periods*n*delta for lattice index n.  The
+    returned signal starts at t = 0 and has periods*steps_per_period + 1
+    samples; it takes over the integrator's buffer without a copy.
     """
     port, state, dt, _ = _integrate(net, source, periods, steps_per_period, None)
     return SampledSignal._taking(0.0, dt, port), state
@@ -549,7 +527,7 @@ def quadrature_analytic(f: LineSpectrum, p: ComplexTimePoint,
     t0 = p.t - cfg.half_width
     grid = t0 + h * np.arange(cfg.panels + 1)
     tau = p.t + 1j * p.s
-    samples = _uniform_samples(f, t0, h, 0, cfg.panels + 1)
+    samples = _uniform_samples(f, t0, h, cfg.panels + 1)
     values = (1j / math.pi) * samples / (tau - grid)
     weights = np.ones(cfg.panels + 1)
     weights[1:-1:2] = 4.0

@@ -395,7 +395,11 @@ def classical_summary(sol: NetworkSolution) -> ClassicalSummary:
     A DC line enters at full weight, which keeps p_mean equal to the time
     average of the instantaneous port power.
     """
-    lines = _LineAmplitudes(sol)
+    return _classical_summary(sol, _LineAmplitudes(sol))
+
+
+def _classical_summary(sol: NetworkSolution, lines: _LineAmplitudes) -> ClassicalSummary:
+    """``classical_summary`` from the solution's line table."""
     columns = (lines.omegas, lines.u_rms, lines.i_rms, lines.p, lines.q)
     entries = tuple(map(LinePower, *(col.tolist() for col in columns)))
     # running sums in line order; the builtin sum compensates on Python >= 3.12
@@ -418,9 +422,12 @@ def classical_summary(sol: NetworkSolution) -> ClassicalSummary:
     )
 
 
-def _stored_energy_q(sol: NetworkSolution) -> np.ndarray:
-    """Reactive power 2*omega*(W_m - W_e) of each line, from the branch phasors."""
-    lines = _LineAmplitudes(sol)
+def _stored_energy_q(sol: NetworkSolution, lines=None) -> np.ndarray:
+    """Reactive power 2*omega*(W_m - W_e) of each line, from the branch phasors.
+
+    ``lines`` is the solution's line table, when the caller holds one.
+    """
+    lines = _LineAmplitudes(sol) if lines is None else lines
     return 2.0 * lines.omegas * lines.reactive_energy()
 
 
@@ -436,9 +443,10 @@ def budeanu(sol: NetworkSolution) -> float:
     different data (port phasors versus branch interiors) and must agree
     to CROSS_CHECK_RTOL.
     """
-    summary = classical_summary(sol)
+    lines = _LineAmplitudes(sol)
+    summary = _classical_summary(sol, lines)
     q_port = summary.q_budeanu
-    q_interior = float(np.sum(_stored_energy_q(sol)))
+    q_interior = float(np.sum(_stored_energy_q(sol, lines)))
     tol = CROSS_CHECK_RTOL * max(
         abs(q_port), abs(q_interior), _REACTIVE_FLOOR * summary.s_apparent
     )
@@ -463,8 +471,8 @@ def q_from_stored_energy(sol: NetworkSolution, omega) -> float:
     line = float(omegas[0])
     if not math.isclose(line, omega, rel_tol=COMMENSURATE_RTOL):
         raise ValueError(f"source line at {line!r} rad/s, not at {omega!r} rad/s")
-    q_energy = float(_stored_energy_q(sol)[0])
     lines = _LineAmplitudes(sol)
+    q_energy = float(_stored_energy_q(sol, lines)[0])
     q_phasor, s_phasor = float(lines.q[0]), float(lines.u_rms[0] * lines.i_rms[0])
     if abs(q_energy - q_phasor) > 1e-10 * max(abs(q_phasor), s_phasor, 1e-300):
         raise ConsistencyError(

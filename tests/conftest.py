@@ -8,11 +8,17 @@ are rejected and redrawn.
 """
 
 import math
+import os
+
+# The oracle's matrices are at most a few dozen rows, so a BLAS thread
+# hand-off costs more than the product; pin one thread before numpy loads.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 import numpy as np
 import pytest
 
-from pqbalance import spectrum
+from pqbalance import power, spectrum
 from pqbalance.network import Branch, Netlist, SingularNetworkError, solve
 from pqbalance.spectrum import VOLT, LineSpectrum
 
@@ -161,3 +167,17 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_analytic", counted)
     return shapes
+
+
+@pytest.fixture
+def line_tables(monkeypatch):
+    """The solutions of the ``power._LineAmplitudes`` tables built while the test runs."""
+    built = []
+
+    class Counted(power._LineAmplitudes):
+        def __init__(self, sol):
+            built.append(sol)
+            super().__init__(sol)
+
+    monkeypatch.setattr(power, "_LineAmplitudes", Counted)
+    return built

@@ -323,6 +323,15 @@ def test_analyze_evaluates_the_branches_once(bench_dir, kernel_calls):
     assert all(shape[0] == 2 for shape in kernel_calls[2:])
 
 
+def test_analyze_and_verify_build_one_line_table_per_route(bench_dir, line_tables):
+    cfg = str(bench_dir / "flicker_config.json")
+    assert main(["analyze", "--config", cfg, "--out", str(bench_dir / "out")]) == EXIT_OK
+    assert len(line_tables) == 3  # scaled, classical_summary and budeanu
+    line_tables.clear()
+    assert main(["verify", "--config", cfg]) == EXIT_OK
+    assert len(line_tables) == 2  # scaled and budeanu
+
+
 def test_csv_uses_full_precision_and_lf(tmp_path):
     path = simple_setup(tmp_path, extra={"t_grid": {"values": [1.0 / 3.0]}})
     out = tmp_path / "o"

@@ -31,12 +31,7 @@ from pqbalance.oracle import (
     quadrature_analytic,
     quadrature_tail_bound,
 )
-from pqbalance.oracle import (
-    _factored,
-    _periodic_samples,
-    _time_domain_matrices,
-    _uniform_samples,
-)
+from pqbalance.oracle import _factored, _time_domain_matrices, _uniform_samples
 from pqbalance.spectrum import (
     AMPERE,
     COMMENSURATE_RTOL,
@@ -184,9 +179,9 @@ def rotation_bound(source, times):
     return 4.0 * eps * float(np.sum(np.abs(source.amplitudes) * (1.0 + source.omegas * t_max)))
 
 
-def assert_samples_match_evaluate(source, t0, h, lo, hi):
-    got = _uniform_samples(source, t0, h, lo, hi)
-    times = t0 + h * np.arange(lo, hi)
+def assert_samples_match_evaluate(source, t0, h, n):
+    got = _uniform_samples(source, t0, h, n)
+    times = t0 + h * np.arange(n)
     assert got.shape == times.shape
     assert np.max(np.abs(got - source.evaluate(times)), initial=0.0) \
         <= rotation_bound(source, times)
@@ -196,68 +191,83 @@ def test_uniform_samples_match_evaluate(flicker_source):
     # the oracle's own grid: 50 periods of 8192 steps
     rng = np.random.default_rng(14142135)
     for source in (flicker_source, random_source(rng, allow_dc=True)):
-        assert_samples_match_evaluate(source, 0.0, source.period / 8192, 0, 50 * 8192 + 1)
+        assert_samples_match_evaluate(source, 0.0, source.period / 8192, 50 * 8192 + 1)
     # shorter grids spanning the same 50 periods, and shifted quadrature-style windows
     for _ in range(300):
         source = random_source(rng, allow_dc=True)
         period = source.period
-        assert_samples_match_evaluate(source, 0.0, period / 64, 0, 50 * 64 + 1)
+        assert_samples_match_evaluate(source, 0.0, period / 64, 50 * 64 + 1)
         t0 = rng.uniform(-25.0, 25.0) * period
-        assert_samples_match_evaluate(source, t0, period / 128, 0, 2049)
+        assert_samples_match_evaluate(source, t0, period / 128, 2049)
 
 
 def test_uniform_samples_do_not_depend_on_the_range():
+    # sample k is the same whatever the count of samples asked for
     rng = np.random.default_rng(27182818)
     for _ in range(20):
         source = random_source(rng, allow_dc=True)
         t0, h = rng.uniform(-10.0, 10.0), source.period / 1000
-        wide = _uniform_samples(source, t0, h, 0, 6000)
-        ranges = [(0, 1), (1, 2), (255, 257), (256, 512), (5999, 6000), (2, 6000)]
-        for _ in range(30):
-            lo = int(rng.integers(0, 6000))
-            ranges.append((lo, int(rng.integers(lo, 6001))))
-        for lo, hi in ranges:
-            assert np.array_equal(_uniform_samples(source, t0, h, lo, hi), wide[lo:hi])
+        wide = _uniform_samples(source, t0, h, 6000)
+        counts = [0, 1, 2, 255, 256, 257, 512, 5999] + rng.integers(0, 6000, 30).tolist()
+        for n in counts:
+            assert np.array_equal(_uniform_samples(source, t0, h, n), wide[:n])
 
 
 def test_uniform_samples_edge_cases(flicker_source):
     dc = LineSpectrum.dc(-2.5, VOLT)
-    assert np.array_equal(_uniform_samples(dc, 3.0, 0.1, 5, 700), np.full(695, -2.5))
+    assert np.array_equal(_uniform_samples(dc, 3.0, 0.1, 695), np.full(695, -2.5))
     zero = LineSpectrum.zero(VOLT)
-    assert np.array_equal(_uniform_samples(zero, 0.0, 0.1, 0, 300), np.zeros(300))
+    assert np.array_equal(_uniform_samples(zero, 0.0, 0.1, 300), np.zeros(300))
     h = flicker_source.period / 1000
-    for lo in (0, 7, 256, 300):
-        assert _uniform_samples(flicker_source, 0.0, h, lo, lo).shape == (0,)
-    for lo, hi in ((0, 1), (3, 40), (250, 260), (257, 511), (513, 2000), (1000, 1001)):
-        assert_samples_match_evaluate(flicker_source, 1.5, h, lo, hi)
+    assert _uniform_samples(flicker_source, 0.0, h, 0).shape == (0,)
+    for n in (1, 40, 255, 256, 257, 511, 513, 2000):
+        assert_samples_match_evaluate(flicker_source, 1.5, h, n)
 
 
-def assert_periodic_samples_match_evaluate(source, steps_per_period, ranges):
+def stepper_drives(monkeypatch):
+    """Record the drive of every call of the block stepper's advance."""
+    drives = []
+    stepper = oracle._block_stepper
+
+    def recorded_stepper(step, drive, out):
+        advance = stepper(step, drive, out)
+
+        def recorded(z, u):
+            drives.append(u)
+            return advance(z, u)
+
+        return recorded
+
+    monkeypatch.setattr(oracle, "_block_stepper", recorded_stepper)
+    return drives
+
+
+def assert_drive_matches_evaluate(monkeypatch, source, periods, steps_per_period):
     # a source on its lattice takes at dt*k the value it takes at
     # dt*(k mod steps_per_period), where evaluate carries no phase error
-    # that grows with k; every step is held to the bound of one period
+    # that grows with k; every step is held to the bound of one period.
+    # ode_transient's calls drive steps 2, 3, ... in order; step 1, the
+    # backward-Euler start, is checked by the block-vs-loop tests
+    drives = stepper_drives(monkeypatch)
+    sig, _ = ode_transient(rc_across_port(), source, periods, steps_per_period)
+    monkeypatch.undo()
+    assert all(not u.flags.writeable for u in drives)
+    got = np.concatenate(drives)
+    steps = np.arange(2, periods * steps_per_period + 1)
+    assert got.shape == steps.shape
+    want = source.evaluate(sig.dt * (steps % steps_per_period))
     period = source.period if source.period is not None else 2.0 * math.pi
-    dt = period / steps_per_period
-    samples = _periodic_samples(source, dt, steps_per_period)
-    bound = rotation_bound(source, [period])
-    for lo, hi in ranges:
-        got = samples(lo, hi)
-        assert got.shape == (hi - lo,) and not got.flags.writeable
-        want = source.evaluate(dt * (np.arange(lo, hi) % steps_per_period))
-        assert np.max(np.abs(got - want), initial=0.0) <= bound
+    assert np.max(np.abs(got - want), initial=0.0) <= rotation_bound(source, [period])
 
 
-def test_periodic_samples_match_evaluate_at_every_step():
+def test_periodic_samples_match_evaluate_at_every_step(monkeypatch):
     rng = np.random.default_rng(31415926)
-    sources = [random_source(rng, allow_dc=True) for _ in range(300)]
     for spp in (6, 37, 1500, 8192):
-        # the longest slice at the largest offset, late in a 50-period run
-        longest = (49 * spp - 1, 49 * spp - 1 + oracle._CHUNK)
-        assert_periodic_samples_match_evaluate(sources[0], spp, [longest])
-        for source in sources:
-            lo = int(rng.integers(spp, 50 * spp))
-            hi = lo + int(rng.integers(0, min(oracle._CHUNK, 2 * spp + 2) + 1))
-            assert_periodic_samples_match_evaluate(source, spp, [(0, spp), (lo, hi)])
+        # whole-period calls of up to oracle._CHUNK steps, and a last call
+        # of fewer periods
+        for _ in range(5):
+            source = random_source(rng, allow_dc=True)
+            assert_drive_matches_evaluate(monkeypatch, source, 10 + oracle._CHUNK // spp, spp)
 
 
 @pytest.mark.parametrize("source", [
@@ -266,11 +276,10 @@ def test_periodic_samples_match_evaluate_at_every_step():
     LineSpectrum.from_lines([(1.0, 2.0), (3.0, 0.5j)], VOLT),
 ], ids=["dc-only", "zero", "two-lines"])
 @pytest.mark.parametrize("steps_per_period", [2, 37])
-def test_periodic_samples_edge_cases(source, steps_per_period):
-    spp = steps_per_period
-    ranges = [(0, 1), (1, 2), (0, spp), (spp - 1, spp + 1), (5 * spp, 5 * spp),
-              (7 * spp + 1, 7 * spp + 1 + oracle._CHUNK)]
-    assert_periodic_samples_match_evaluate(source, spp, ranges)
+def test_periodic_samples_edge_cases(monkeypatch, source, steps_per_period):
+    assert_drive_matches_evaluate(monkeypatch, source, 10, steps_per_period)
+    assert_drive_matches_evaluate(
+        monkeypatch, source, 2 + 2 * oracle._CHUNK // steps_per_period, steps_per_period)
 
 
 # ----------------------------------------------------------------------
@@ -280,9 +289,9 @@ def test_periodic_samples_edge_cases(source, steps_per_period):
 def loop_transient(net, source, periods, steps_per_period, literal=False):
     """Reference: the BDF2 recursion stepped one sample at a time.
 
-    Each step takes its source sample from the oracle's own drive
-    (_periodic_samples), so block and loop stepping are compared on one
-    drive; literal=True samples the source at every step instead.
+    Step n takes sample n mod steps_per_period of the one period the
+    oracle samples, so block and loop stepping are compared on one drive;
+    literal=True samples the source at every step instead.
     """
     period = source.period if source.period is not None else 2.0 * math.pi
     dt = period / steps_per_period
@@ -298,10 +307,10 @@ def loop_transient(net, source, periods, steps_per_period, literal=False):
 
     n_steps = periods * steps_per_period
     if literal:
-        u = _uniform_samples(source, 0.0, dt, 0, n_steps + 1)
+        u = _uniform_samples(source, 0.0, dt, n_steps + 1)
     else:
-        samples = _periodic_samples(source, dt, steps_per_period)
-        u = np.array([samples(n, n + 1)[0] for n in range(n_steps + 1)])
+        one = _uniform_samples(source, 0.0, dt, steps_per_period)
+        u = [one[n % steps_per_period] for n in range(n_steps + 1)]
     x_prev = np.zeros(g.shape[0])
     x = start_drive * u[1]
     port = np.empty(n_steps + 1)
@@ -379,7 +388,8 @@ def capacitor_across_port():
 @pytest.mark.parametrize("net, source", [
     (capacitor_across_port(), LineSpectrum.from_lines([(1.0, 2.0), (3.0, 0.5j)], VOLT)),
     (series_rl(r=2.0), LineSpectrum.dc(5.0, VOLT)),
-], ids=["capacitor-across-port", "dc-only"])
+    (capacitor_across_port(), LineSpectrum.zero(VOLT)),
+], ids=["capacitor-across-port", "dc-only", "zero"])
 def test_block_stepping_matches_loop(net, source, steps_per_period):
     assert_block_matches_loop(net, source, 10, steps_per_period)
 
@@ -404,6 +414,33 @@ def test_flushed_zeroes_subnormals_and_keeps_normal_entries():
     got = oracle._flushed(wide)
     assert got.flags.c_contiguous
     assert np.array_equal(got, [[0.0, 1.0], [-2.0, float(np.longdouble(1) / 3)]])
+
+
+def test_block_stepper_takes_a_call_of_any_length():
+    # a call past 2 * _CHUNK steps needs hop powers beyond those of shorter
+    # calls; it must give the steps that calls of at most _CHUNK give
+    net = capacitor_across_port()
+    g, c, _, _, src = _time_domain_matrices(net)
+    dt = 2.0 * math.pi / 1000
+    main = _factored(g + (1.5 / dt) * c, 1.5 / dt)
+    size = g.shape[0]
+    rhs = np.zeros(size)
+    rhs[src] = 1.0
+    step = np.block([[main((2.0 / dt) * c), main((-0.5 / dt) * c)],
+                     [np.eye(size), np.zeros((size, size))]])
+    drive = np.concatenate([main(rhs), np.zeros(size)])
+    u = LineSpectrum.from_lines([(1.0, 2.0), (3.0, 0.5j)], VOLT).evaluate(
+        dt * np.arange(3 * oracle._CHUNK + 5))
+    z0 = np.zeros(2 * size)
+    y, z = oracle._block_stepper(step, drive, src)(z0, u)
+    short = oracle._block_stepper(step, drive, src)
+    want, want_z = [], z0
+    for at in range(0, u.size, oracle._CHUNK):
+        part, want_z = short(want_z, u[at:at + oracle._CHUNK])
+        want.append(part)
+    want = np.concatenate(want)
+    assert np.max(np.abs(y - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(z - want_z)) <= 1e-12 * np.max(np.abs(want_z))
 
 
 def test_affine_power_matches_repeated_application():
@@ -452,17 +489,24 @@ def test_block_stepping_matches_loop_with_subnormal_operators(monkeypatch):
 
 
 @pytest.mark.parametrize("periods, steps_per_period", [
-    (10, 2), (10, 4), (13, 5),       # inside the first block, and ending on it
-    (16, 1024),                      # one step short of a full chunk
-    (113, 145),                      # 16,385 steps: ending exactly on a chunk
-    (2731, 6),                       # one step past it
-    (99, 331),                       # ending exactly on the second chunk
-], ids=["20", "40", "65", "16384", "16385", "16386", "32769"])
+    (10, 2), (10, 4), (13, 5),       # every call inside the first block, or ending on it
+    (16, 1024),                      # one call of 15 periods, short of a full group
+    (113, 145),                      # one call of a full group, 112 periods
+    (2731, 6),                       # one call of a full group, 2730 periods
+    (99, 331),                       # two calls of a full group, 49 periods
+    (17, 1024),                      # one call of exactly _CHUNK steps
+    (18, 1024),                      # and one period past it, in a second call
+    (12, 1500),                      # calls of 10 periods and 1, each ending in a partial block
+    (10, 16400),                     # a period longer than _CHUNK, one per call
+], ids=["20", "40", "65", "16384", "16385", "16386", "32769",
+        "17408", "18432", "18000", "164000"])
 @pytest.mark.parametrize("net", [capacitor_across_port(), rc_across_port()],
                          ids=["capacitor-across-port", "rc-across-port"])
 def test_block_stepping_matches_loop_at_block_and_chunk_edges(net, periods, steps_per_period):
-    # steps 2..n are advanced in chunks of oracle._CHUNK samples, each cut into
-    # blocks of oracle._BLOCK steps and a partial last block
+    # step 1 is the backward-Euler start; one call takes the rest of period
+    # 0, and every later call takes whole periods, _CHUNK // steps_per_period
+    # of them (at least one) or what is left, each cut into blocks of
+    # oracle._BLOCK steps and a partial last block
     assert oracle._CHUNK == 16384 and oracle._CHUNK % oracle._BLOCK == 0
     source = LineSpectrum.from_lines([(1.0, 2.0), (3.0, 0.5j)], VOLT)
     assert_block_matches_loop(net, source, periods, steps_per_period)
@@ -535,46 +579,40 @@ def test_steady_state_is_the_last_period_of_the_transient_on_oracle_nets():
         checked += 1
 
 
-def count_steps(monkeypatch):
-    """Record the number of steps of every call of the block stepper's advance."""
-    steps = []
-    stepper = oracle._block_stepper
-
-    def counted_stepper(step, drive, out):
-        advance = stepper(step, drive, out)
-
-        def counted(z, u):
-            steps.append(u.size)
-            return advance(z, u)
-
-        return counted
-
-    monkeypatch.setattr(oracle, "_block_stepper", counted_stepper)
-    return steps
-
-
 @pytest.mark.parametrize("steps_per_period", [2, 37, 1500, 8192])
 def test_steady_state_steps_about_four_periods(monkeypatch, flicker_netlist, flicker_source,
                                                steps_per_period):
-    steps = count_steps(monkeypatch)
+    spp = steps_per_period
+    drives = stepper_drives(monkeypatch)
     calls = []
     sampler = oracle._uniform_samples
 
-    def counted(f, t0, h, lo, hi):
-        calls.append(hi - lo)
-        return sampler(f, t0, h, lo, hi)
+    def counted(f, t0, h, n):
+        calls.append(n)
+        return sampler(f, t0, h, n)
 
     monkeypatch.setattr(oracle, "_uniform_samples", counted)
+
+    def assert_whole_periods(steps):
+        # the rest of period 0 after the backward-Euler start, then whole
+        # periods per call, at most max(_CHUNK, spp) steps
+        assert steps[0] == spp - 1
+        assert all(n % spp == 0 and 0 < n <= max(oracle._CHUNK, spp) for n in steps[1:])
+
     for periods in (10, 50, 2000):
-        steps.clear()
+        drives.clear()
         calls.clear()
-        ode_steady_state(flicker_netlist, flicker_source, periods, steps_per_period)
-        assert 0 < sum(steps) <= 4 * steps_per_period + 1
-        assert calls == [steps_per_period]
+        ode_steady_state(flicker_netlist, flicker_source, periods, spp)
+        steps = [u.size for u in drives]
+        assert 0 < sum(steps) <= 4 * spp + 1
+        assert_whole_periods(steps)
+        assert calls == [spp]
     # the transient still takes every step: all but the backward-Euler start
-    steps.clear()
-    ode_transient(flicker_netlist, flicker_source, 10, steps_per_period)
-    assert sum(steps) == 10 * steps_per_period - 1
+    drives.clear()
+    ode_transient(flicker_netlist, flicker_source, 10, spp)
+    steps = [u.size for u in drives]
+    assert sum(steps) == 10 * spp - 1
+    assert_whole_periods(steps)
 
 
 def assert_settled_on_solve(net, source, sig):
@@ -667,9 +705,9 @@ def test_integrators_sample_one_period_and_quadrature_every_node(
     calls = []
     sampler = oracle._uniform_samples
 
-    def counted(f, t0, h, lo, hi):
-        calls.append(hi - lo)
-        return sampler(f, t0, h, lo, hi)
+    def counted(f, t0, h, n):
+        calls.append(n)
+        return sampler(f, t0, h, n)
 
     monkeypatch.setattr(oracle, "_uniform_samples", counted)
     for integrate in (ode_transient, ode_steady_state):

@@ -581,7 +581,8 @@ def test_budeanu_cross_check_catches_a_perturbed_route(rng, flicker_solution, mo
     for sol in sols:
         budeanu(sol)
     stored = power._stored_energy_q
-    monkeypatch.setattr(power, "_stored_energy_q", lambda sol: stored(sol) * (1.0 + 1e-6))
+    monkeypatch.setattr(power, "_stored_energy_q",
+                        lambda sol, lines=None: stored(sol, lines) * (1.0 + 1e-6))
     for sol in sols:
         with pytest.raises(ConsistencyError, match="Budeanu routes disagree"):
             budeanu(sol)
@@ -775,6 +776,15 @@ def test_classical_summary_builds_no_branch_rows(rng, monkeypatch):
         classical_summary(sol)
     with pytest.raises(AssertionError, match="branch rows built"):
         power._stored_energy_q(sol)
+
+
+def test_budeanu_routes_read_one_table(line_tables):
+    sol = solve(rlc_net(), LineSpectrum.tone(1.5, 2.0 - 1.0j, VOLT))
+    budeanu(sol)
+    assert line_tables == [sol]
+    line_tables.clear()
+    q_from_stored_energy(sol, 1.5)
+    assert line_tables == [sol]
 
 
 def test_per_line_phasors_have_one_reader():
