@@ -25,12 +25,10 @@ from .network import Netlist, SingularNetworkError, solve
 from .power import (
     ConsistencyError,
     _balance_report,
-    _power_at_zero_scale,
     budeanu,
     classical_summary,
     default_s_grid,
     default_t_grid,
-    instantaneous,
     scaled,
     scaled_time_means,
     verify_balances,
@@ -253,28 +251,14 @@ def run_analyze(cfg: AnalysisConfig, out_dir) -> int:
     sol = solve(cfg.netlist, cfg.source)
     t_arr = cfg.time_grid()
     out = Path(out_dir)
-    # both output sets need these two; build them once
-    iset = instantaneous(sol)
+    # both output sets read it, and its terms at s = 0 are evaluated once
     sq = scaled(sol, t_arr, s_arr)
 
     if "csv" in cfg.formats:
         # P_t and Q_t: Re and Im of 1/2 u_a conj(i_a) at s = 0
-        p_t, q_t = _power_at_zero_scale(sq)
-        _write_csv(
-            out / "instantaneous.csv",
-            ["t", "p", "p_d", "w_m", "w_e", "w", "x", "P_t", "Q_t"],
-            [
-                t_arr,
-                iset.p.evaluate(t_arr),
-                iset.p_dissipated.evaluate(t_arr),
-                iset.w_magnetic.evaluate(t_arr),
-                iset.w_electric.evaluate(t_arr),
-                iset.w_stored.evaluate(t_arr),
-                iset.x_reactive.evaluate(t_arr),
-                p_t,
-                q_t,
-            ],
-        )
+        names = ["p", "p_d", "w_m", "w_e", "w", "x", "P_t", "Q_t"]
+        _write_csv(out / "instantaneous.csv", ["t", *names],
+                   [t_arr, *(sq._instant[name] for name in names)])
         for k, name in enumerate(scale_files):
             _write_csv(
                 out / name,
@@ -294,7 +278,7 @@ def run_analyze(cfg: AnalysisConfig, out_dir) -> int:
     if "json" in cfg.formats:
         summary = classical_summary(sol)
         budeanu(sol)  # runs the two-route cross-check
-        report = _balance_report(sol, iset, sq)
+        report = _balance_report(sol, sq)
         doc = summary.to_dict()
         doc["character"] = _character(summary.q_budeanu, summary.s_apparent)
         doc["residual_maxima"] = {

@@ -4,14 +4,14 @@ Three layers of description are computed from one frequency-domain
 solution:
 
 * instantaneous (real time): port power, dissipation, and stored
-  energies as exact line spectra;
+  energies, the s = 0 slice on a time grid or exact line spectra;
 * classical per-line phasors: active/reactive power per frequency with
   Budeanu totals and apparent power;
 * time-scale quantities on a (t, s) grid, where the scale s >= 0 damps
   each line by ``e^{-omega*s}``, suppressing the fastest content first.
 
-The last two read every per-line value from one table, ``_LineAmplitudes``,
-and the branch rules of ``_RULES`` serve the first as well.
+All three read every per-line value from one table, ``_LineAmplitudes``,
+and the first and last evaluate its one stack of rows with one kernel.
 
 The balances verified numerically are the instantaneous one,
 ``dw/dt = p - p_d``, the active one, ``dW/dt = P - P_d`` at every scale,
@@ -99,6 +99,16 @@ class _LineAmplitudes:
         rows = [[d[b.id] for d in phasors[_RULES[b.kind][0]]] for b in self._branches]
         return np.array(rows, dtype=complex).reshape(len(rows), len(self.omegas))
 
+    def analytic(self, t_arr, s_arr):
+        """Port rows (u, i), every a_b and every stored a'_b on the (t, s) grid.
+
+        One kernel call over the stacked rows; a'_b is a_b with each line times jw.
+        """
+        store, n_b = self.store, len(self.branch)
+        rows = (self.port, self.branch, self.branch[store] * (1j * self.omegas))
+        grid = spectrum._analytic(self.omegas, np.concatenate(rows), t_arr, s_arr)
+        return grid[:2], grid[2:2 + n_b], grid[2 + n_b:]
+
     def reactive_energy(self) -> np.ndarray:
         """Time mean of W_m - W_e carried by each line at s = 0."""
         return (self.sigma * self.c) @ (np.abs(self.branch) ** 2)
@@ -149,15 +159,6 @@ def instantaneous(sol: NetworkSolution) -> InstantaneousSet:
     )
 
 
-def _instantaneous_terms(iset: InstantaneousSet, t_arr):
-    """dw/dt (taken line-wise), p and p_d on the time grid."""
-    return (
-        iset.w_stored.derivative().evaluate(t_arr),
-        iset.p.evaluate(t_arr),
-        iset.p_dissipated.evaluate(t_arr),
-    )
-
-
 def _power_gap(dw_dt, p, p_d) -> np.ndarray:
     """|dw/dt - (p - p_d)|: the instantaneous law, and the active law at every s."""
     return np.abs(dw_dt - p + p_d)
@@ -178,7 +179,8 @@ def _peak(*arrays) -> float:
 def instantaneous_balance(iset: InstantaneousSet, t_grid) -> float:
     """Max over the grid of |dw/dt - (p - p_d)|, with dw/dt taken line-wise."""
     t_arr = np.asarray(t_grid, dtype=float)
-    return _worst(_power_gap(*_instantaneous_terms(iset, t_arr)))[0]
+    return _worst(_power_gap(iset.w_stored.derivative().evaluate(t_arr),
+                             iset.p.evaluate(t_arr), iset.p_dissipated.evaluate(t_arr)))[0]
 
 
 def real_imaginary_power(u: LineSpectrum, i: LineSpectrum):
@@ -209,7 +211,8 @@ class ScaledQuantities:
     and ``q`` are the real and imaginary parts of half the port voltage
     times the conjugate port current.  The exact t-derivative of
     ``w_stored`` and s-derivative of ``x_reactive`` ride along privately,
-    with the line amplitudes that produced them.
+    with the line amplitudes that produced them.  ``_instant`` holds the
+    instantaneous terms on ``t``, evaluated on first read.
     """
 
     t: np.ndarray
@@ -231,6 +234,27 @@ class ScaledQuantities:
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @cached_property
+    def _instant(self) -> dict:
+        """p, p_d, w_m, w_e, w, x, dw/dt, P_t and Q_t on ``t``, from one kernel call at s = 0.
+
+        The call evaluates the row stack of ``scaled``, whose real parts are
+        u, i, every a_b and every stored a'_b.  Then p = u i; branch b adds
+        2 c_b a_b^2 to p_d, w_m or w_e by kind and 4 c_b a_b a'_b to dw/dt.
+        ``P_t`` and ``Q_t`` are ``p`` and ``q`` of ``scaled(sol, t, [0.0])``,
+        bit for bit.
+        """
+        lines = self._lines
+        (u_a, i_a), a, a_dot = (rows[..., 0] for rows in lines.analytic(self.t, np.zeros(1)))
+        a, store = a.real, lines.store
+        energy = 2.0 * lines.c[:, None] * a ** 2
+        w_m, w_e = energy[lines.sigma > 0.0].sum(axis=0), energy[lines.sigma < 0.0].sum(axis=0)
+        s_complex = 0.5 * u_a * np.conj(i_a)
+        return {"p": u_a.real * i_a.real, "p_d": energy[~store].sum(axis=0), "w_m": w_m,
+                "w_e": w_e, "w": w_m + w_e, "x": w_m - w_e, "P_t": s_complex.real,
+                "Q_t": s_complex.imag,
+                "dw_dt": 4.0 * (lines.c[store, None] * a[store] * a_dot.real).sum(axis=0)}
 
 
 def default_t_grid(source: LineSpectrum, n=256) -> np.ndarray:
@@ -259,10 +283,8 @@ def scaled(sol: NetworkSolution, t_grid, s_grid) -> ScaledQuantities:
     """
     t_arr, s_arr = spectrum._grid(t_grid, s_grid)
     lines = _LineAmplitudes(sol)
-    store, n_b = lines.store, len(lines.branch)
-    rows = (lines.port, lines.branch, lines.branch[store] * (1j * lines.omegas))
-    grid = spectrum._analytic(lines.omegas, np.concatenate(rows), t_arr, s_arr)
-    (u_a, i_a), a, a_dot = grid[:2], grid[2:2 + n_b], grid[2 + n_b:]
+    store = lines.store
+    (u_a, i_a), a, a_dot = lines.analytic(t_arr, s_arr)
     energy = lines.c[:, None, None] * np.abs(a) ** 2
     w_m = energy[lines.sigma > 0.0].sum(axis=0)
     w_e = energy[lines.sigma < 0.0].sum(axis=0)
@@ -282,18 +304,6 @@ def scaled(sol: NetworkSolution, t_grid, s_grid) -> ScaledQuantities:
         _dx_ds=-2.0 * (lines.sigma[store, None, None] * rate.imag).sum(axis=0),
         _lines=lines,
     )
-
-
-def _power_at_zero_scale(sq: ScaledQuantities):
-    """``p`` and ``q`` of ``scaled(sol, sq.t, [0.0])``, from the port rows alone.
-
-    The same kernel call on the two port rows of ``scaled``'s stack gives the
-    same bits, without evaluating the branch rows a second time.
-    """
-    lines = sq._lines
-    u_a, i_a = spectrum._analytic(lines.omegas, lines.port, sq.t, np.zeros(1))[..., 0]
-    s_complex = 0.5 * u_a * np.conj(i_a)
-    return s_complex.real, s_complex.imag
 
 
 def _reactive_gap(sq: ScaledQuantities) -> np.ndarray:
@@ -508,9 +518,11 @@ class BalanceReport:
     Each residual is an absolute maximum; the matching scale is the
     largest magnitude among the balance terms (for the two power laws
     including the full complex-power magnitude, of which P and Q are the
-    components), so residual/scale is the relative figure of merit.  The
-    fd gaps compare the exact derivatives with central differences as an
-    independent sanity check.
+    components), so residual/scale is the relative figure of merit.  All
+    three laws read one kernel's evaluations of the same branch and port
+    rows: the instantaneous one at s = 0, the other two on the (t, s) grid.
+    The fd gaps compare the exact derivatives with central differences as
+    an independent sanity check.
     """
 
     instantaneous_residual: float
@@ -577,18 +589,20 @@ class BalanceReport:
 
 
 def verify_balances(sol: NetworkSolution, t_grid=None, s_grid=None) -> BalanceReport:
-    """Evaluate all three balance laws and package residuals with context."""
+    """Evaluate all three balance laws and package residuals with context.
+
+    The instantaneous terms come from ``scaled``'s rows at s = 0, with no
+    product spectrum; ``instantaneous_balance`` checks the exact spectra.
+    """
     t_grid = default_t_grid(sol.source) if t_grid is None else t_grid
     s_grid = default_s_grid(sol.source) if s_grid is None else s_grid
-    sq = scaled(sol, t_grid, s_grid)  # checks the grids before the products run
-    return _balance_report(sol, instantaneous(sol), sq)
+    return _balance_report(sol, scaled(sol, t_grid, s_grid))
 
 
-def _balance_report(sol: NetworkSolution, iset: InstantaneousSet,
-                    sq: ScaledQuantities) -> BalanceReport:
-    """``verify_balances`` from the solution's instantaneous and scaled sets."""
+def _balance_report(sol: NetworkSolution, sq: ScaledQuantities) -> BalanceReport:
+    """``verify_balances`` from the solution's scaled set."""
     t_arr, s_arr = sq.t, sq.s
-    inst_terms = _instantaneous_terms(iset, t_arr)
+    inst_terms = sq._instant["dw_dt"], sq._instant["p"], sq._instant["p_d"]
     inst_res, (inst_t,) = _worst(_power_gap(*inst_terms), t_arr)
 
     act_res, (act_t, act_s) = _worst(

@@ -286,13 +286,18 @@ def test_analyze_balance_json_is_the_verify_balances_report(bench_dir):
 
 
 def test_analyze_forms_no_hilbert_transform(bench_dir, monkeypatch):
+    # nor a product spectrum: every waveform comes from the one kernel
     def refuse(*args, **kwargs):
-        raise AssertionError("analyze formed a Hilbert transform")
+        raise AssertionError("formed a Hilbert transform or a product spectrum")
 
     monkeypatch.setattr(LineSpectrum, "hilbert", refuse)
+    monkeypatch.setattr(LineSpectrum, "multiply", refuse)
     monkeypatch.setattr(power, "real_imaginary_power", refuse)
+    monkeypatch.setattr(power, "instantaneous", refuse)
     cfg = str(bench_dir / "flicker_config.json")
     assert main(["analyze", "--config", cfg, "--out", str(bench_dir / "out")]) == EXIT_OK
+    assert main(["verify", "--config", cfg]) == EXIT_OK
+    assert main(["sweep-s", "--config", cfg, "--out", str(bench_dir / "sweep")]) == EXIT_OK
 
 
 def test_analyze_power_columns_are_the_kernel_at_s_zero(bench_dir):
@@ -316,11 +321,47 @@ def test_analyze_power_columns_are_the_kernel_at_s_zero(bench_dir):
 def test_analyze_evaluates_the_branches_once(bench_dir, kernel_calls):
     cfg = str(bench_dir / "flicker_config.json")
     assert main(["analyze", "--config", cfg, "--out", str(bench_dir / "out")]) == EXIT_OK
-    # scaled: port u and i, r1 and c1, the rate of c1; then P_t and Q_t from
-    # the port rows alone; then the two finite-difference gaps on c1
+    # scaled: port u and i, r1 and c1, the rate of c1; then the same five
+    # rows at s = 0 for every instantaneous term, read by both the CSV and
+    # the balance report; then the two finite-difference gaps on c1
     n_t, n_s = kernel_calls[0][1:]
-    assert kernel_calls[:2] == [(5, n_t, n_s), (2, n_t, 1)]
+    assert kernel_calls[:2] == [(5, n_t, n_s), (5, n_t, 1)]
     assert all(shape[0] == 2 for shape in kernel_calls[2:])
+
+
+def test_a_thousand_line_ladder_balances(tmp_path):
+    # a DC line and harmonics 1..1023 on one R-L-C-R ladder section
+    rng = np.random.default_rng(1024)
+    write_json(tmp_path / "net.json", {
+        "branches": [
+            {"id": "r1", "kind": "resistor", "value": 0.5, "nodes": ["p", "m"]},
+            {"id": "l1", "kind": "inductor", "value": 0.3, "nodes": ["m", "a"]},
+            {"id": "c1", "kind": "capacitor", "value": 0.2, "nodes": ["a", "0"]},
+            {"id": "r2", "kind": "resistor", "value": 5.0, "nodes": ["a", "0"]},
+        ],
+        "port": {"plus": "p", "ground": "0"},
+    })
+    lines = [{"amplitude_peak": 2.0, "omega": 0.0}] + [
+        {"amplitude_peak": 10.0 ** rng.uniform(-1.0, 1.0), "omega": float(n),
+         "phase": rng.uniform(0.0, 2.0 * math.pi)} for n in range(1, 1024)
+    ]
+    path = tmp_path / "config.json"
+    write_json(path, {"netlist": "net.json", "source": {"lines": lines},
+                      "s_grid": {"values": [0.0, 0.01, 0.1, 1.0]}})
+    cfg = load_config(path)
+    sol = solve(cfg.netlist, cfg.source)
+    assert len(sol.per_line) == 1024
+    report = verify_balances(sol)  # the default 256 x 33 grid
+    assert report.n_t == 256 and report.n_s == 33
+    # each term sums 1024 lines, which round by at most about 1024 eps of the parts
+    for law in ("instantaneous", "active", "reactive"):
+        assert getattr(report, f"{law}_relative") <= 1024 * np.finfo(float).eps, law
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    assert len((out / "instantaneous.csv").read_text(encoding="utf-8").splitlines()) == 257
+    # the instantaneous law reads only the t grid, which the two runs share
+    written = json.loads((out / "balance.json").read_text(encoding="utf-8"))
+    assert written["instantaneous"] == report.to_dict()["instantaneous"]
 
 
 def test_analyze_and_verify_build_one_line_table_per_route(bench_dir, line_tables):

@@ -31,7 +31,7 @@ from pqbalance.power import (
     scaled_time_means,
     verify_balances,
 )
-from pqbalance.spectrum import AMPERE, JOULE, VOLT, WATT, LineSpectrum
+from pqbalance.spectrum import AMPERE, JOULE, PRUNE_RTOL, VOLT, WATT, LineSpectrum
 
 from conftest import solved_case
 
@@ -118,6 +118,53 @@ def test_resistive_only_storage_free():
     assert iset.w_stored.is_zero
     t = np.linspace(0.0, 3.0, 64)
     assert np.allclose(iset.p.evaluate(t), iset.p_dissipated.evaluate(t), rtol=1e-13, atol=1e-13)
+
+
+def test_kernel_terms_match_the_product_spectra(flicker_solution):
+    """The s = 0 kernel route and ``instantaneous`` agree to a rounding bound.
+
+    Let M be a term's sum of |parts| before cancellation: S_u S_i for p,
+    sum 2 |c_b| S_b^2 for p_d, w_m and w_e, sum 4 |c_b| S_b S'_b for dw/dt,
+    with S_b = sum_k |A_bk| and S'_b = sum_k w_k |A_bk| over the L lines.
+    Each rounding below costs at most eps M, to first order.  The kernel
+    route sums L lines per row, squares, and sums B branches: 2L + B + 8
+    roundings.  The spectra route convolves 2L + 1 two-sided lines, sums B
+    branches and evaluates at most N = 2 n_max + 1 product lines (n_max is
+    the source's top lattice index): 2L + B + N + 7.  Both round phases
+    w t up to Phi = 2 w_max max|t|, which costs eps Phi / 2 each.  Pruning
+    drops product lines below PRUNE_RTOL of the largest, at most N of them.
+    So |kernel - spectra| <= (eps (4L + 2B + N + Phi + 15) + PRUNE_RTOL N) M.
+    """
+    rng = np.random.default_rng(16)
+    sols = [solved_case(rng, allow_dc=True) for _ in range(300)] + [flicker_solution]
+    assert sum(sol.source.omegas[0] == 0.0 for sol in sols) >= 25  # DC lines enter
+    eps = np.finfo(float).eps
+    for k, sol in enumerate(sols):
+        period = sol.source.period or 1.0
+        t = rng.uniform(-2.0, 2.0, 40) * period
+        sq = scaled(sol, t, [0.0])
+        lines, iset = sq._lines, instantaneous(sol)
+        n_lines, n_branches = lines.omegas.size, len(lines.branch)
+        s_b = np.abs(lines.branch).sum(axis=1)
+        s_rate = (np.abs(lines.branch) * lines.omegas).sum(axis=1)
+        parts = 2.0 * np.abs(lines.c) * s_b ** 2
+        magnitude = {
+            "p": np.prod(np.abs(lines.port).sum(axis=1)),
+            "p_d": parts[~lines.store].sum(),
+            "w_m": parts[lines.sigma > 0.0].sum(),
+            "w_e": parts[lines.sigma < 0.0].sum(),
+            "dw_dt": (4.0 * np.abs(lines.c) * s_b * s_rate)[lines.store].sum(),
+        }
+        exact = {"p": iset.p, "p_d": iset.p_dissipated, "w_m": iset.w_magnetic,
+                 "w_e": iset.w_electric, "dw_dt": iset.w_stored.derivative()}
+        omega_max = sol.source.omega_max or 0.0
+        n_prod = 2 * round(omega_max / sol.source.omega0) + 1 if omega_max else 1
+        phi = 2.0 * omega_max * np.max(np.abs(t))
+        rate = eps * (4 * n_lines + 2 * n_branches + n_prod + phi + 15)
+        rate += PRUNE_RTOL * n_prod
+        for name, spec in exact.items():
+            gap = np.max(np.abs(sq._instant[name] - spec.evaluate(t)))
+            assert gap <= rate * magnitude[name], (k, name, gap / magnitude[name])
 
 
 # ----------------------------------------------------------------------
@@ -447,7 +494,8 @@ def test_power_at_zero_scale_is_scaled_at_zero_bit_for_bit():
         period = sol.source.period or 1.0
         t = rng.uniform(-2.0, 2.0, 1 + k % 40) * period
         want = scaled(sol, t, [0.0])
-        p_t, q_t = power._power_at_zero_scale(scaled(sol, t, default_s_grid(sol.source, 5)))
+        instant = scaled(sol, t, default_s_grid(sol.source, 5))._instant
+        p_t, q_t = instant["P_t"], instant["Q_t"]
         assert p_t.tobytes() == want.p[:, 0].tobytes(), k
         assert q_t.tobytes() == want.q[:, 0].tobytes(), k
 
@@ -463,8 +511,9 @@ def test_scaled_and_its_checks_make_one_kernel_call_each(flicker_solution, kerne
     # c1 shifted forward and backward, on the scale points s >= h
     assert kernel_calls == [(2, 8, 3), (2, 8, 1)]
     del kernel_calls[:]
+    # scaled, the same rows at s = 0 for the instantaneous law, the two gaps
     verify_balances(flicker_solution, t, s)
-    assert len(kernel_calls) == 3
+    assert len(kernel_calls) == 4
 
 
 # every entry point to the (t, s) grid, called with one scale value s
