@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .network import CAPACITOR, INDUCTOR, RESISTOR, Netlist, SingularNetworkError
 from .spectrum import VOLT, ComplexTimePoint, LineSpectrum, SampledSignal
@@ -36,6 +35,12 @@ _ROW = 256
 _CHUNK = 16384
 # Smallest normal float64; _flushed sets entries below it to zero.
 _TINY = np.finfo(float).tiny
+# kappa_1 of a row-scaled implicit-step matrix above which it is declared
+# singular.  On a lossless series L-C across the port, exact kappa_1 of the
+# row-scaled nodal matrix crosses 1e14 at the same detuning from resonance
+# as the LU pivot ratio crosses 1e-12, so there this flags what a pivot-ratio
+# test at 1e-12 would.
+_STEP_KAPPA_MAX = 1e14
 
 
 class TransientWarning(UserWarning):
@@ -160,32 +165,33 @@ def _inductor_bridge(net: Netlist) -> bool:
 
 
 def _factored(mat, rate):
-    """LU-based solver for an implicit-step matrix, with a hard singularity gate.
+    """Inverse-based solver for an implicit-step matrix, with a hard singularity gate.
 
     The step matrix mixes conductance stamps with capacitance stamps
     carrying a 1/dt factor, so raw rows can sit many orders of magnitude
-    apart and pivot sizes would reflect stamp units, not rank.  Each row
-    is scaled to unit max first; the pivot-ratio test then flags genuine
-    singularity only.  Returns a function mapping a right-hand side (1-d
+    apart and a condition number would reflect stamp units, not rank.
+    Each row is scaled to unit max first, and the scaled matrix S is
+    inverted once; kappa_1(S) = ||S||_1 ||S^-1||_1 then flags genuine
+    singularity only.  An all-zero row or an exactly zero pivot is
+    singular outright.  Returns a function mapping a right-hand side (1-d
     or 2-d) to the solution.
     """
     row_scale = np.max(np.abs(mat), axis=1)
     if row_scale.min() <= 0.0:
         raise SingularNetworkError(rate, "implicit step matrix is singular")
+    scaled = mat / row_scale[:, None]
     try:
-        with warnings.catch_warnings():
-            # an exactly zero pivot only warns; the ratio test below rejects it
-            warnings.simplefilter("ignore")
-            lu, piv = linalg.lu_factor(mat / row_scale[:, None], check_finite=False)
-    except linalg.LinAlgError:
+        inverse = np.linalg.inv(scaled)
+    except np.linalg.LinAlgError:
         raise SingularNetworkError(rate, "implicit step matrix is singular") from None
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() <= 1e-12 * pivots.max():
+    kappa = np.abs(scaled).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()
+    if kappa > _STEP_KAPPA_MAX:
         raise SingularNetworkError(rate, "implicit step matrix is singular")
+    # mat^-1 = S^-1 D^-1 for the row scaling D
+    inverse /= row_scale
 
     def solve_with(rhs):
-        balanced = rhs / (row_scale[:, None] if rhs.ndim == 2 else row_scale)
-        return linalg.lu_solve((lu, piv), balanced, check_finite=False)
+        return inverse @ rhs
 
     return solve_with
 
@@ -227,7 +233,8 @@ def _block_stepper(step, drive, out):
     d = 1, 2, 4, ... every row takes hop^d times the row d above it.
     That is log2(blocks) matrix products instead of one Python step per
     block.  The powers hop^d are formed once, the first time a call has
-    enough blocks to need them, so a call may be of any length.
+    enough blocks to need them, so a call may be of any length; so is
+    step^r for each length r < K of a partial block that a call ends in.
 
     The powers are formed in np.longdouble and rounded once, each
     hop^(2^k) by repeated squaring.  Formed in float64, step^K would carry
@@ -249,10 +256,12 @@ def _block_stepper(step, drive, out):
         row = row @ wide
         free[k] = row
     free = _flushed(free)
-    toeplitz = linalg.toeplitz(_flushed(pushed[out]), np.zeros(_BLOCK))
+    lags = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+    toeplitz = np.where(lags >= 0, _flushed(pushed[out])[lags], 0.0)
     control = _flushed(pushed[:, ::-1])
     hops = []  # hop^(2^k), as many as the longest call so far needs
     power = np.linalg.matrix_power(wide, _BLOCK)
+    tails = {}  # step^rest for the partial blocks that calls have ended in
 
     def advance(z, u):
         nonlocal power
@@ -275,7 +284,9 @@ def _block_stepper(step, drive, out):
         if rest:
             tail = u[full * _BLOCK:]
             y[full * _BLOCK:] = free[:rest] @ z + toeplitz[:rest, :rest] @ tail
-            z = _flushed(np.linalg.matrix_power(wide, rest)) @ z + control[:, -rest:] @ tail
+            if rest not in tails:
+                tails[rest] = _flushed(np.linalg.matrix_power(wide, rest))
+            z = tails[rest] @ z + control[:, -rest:] @ tail
         return y, z
 
     return advance
@@ -519,20 +530,24 @@ def quadrature_analytic(f: LineSpectrum, p: ComplexTimePoint,
     Needs p.s > 0 so the kernel stays smooth on the whole window.  The
     nodes are t' = t - half_width + h*k, k = 0 .. panels, and f is
     sampled there by per-line rotation (_uniform_samples); the kernel's
-    denominator uses the same nodes.
+    denominator uses the same nodes.  The kernel is split into its real
+    and imaginary parts, so the sums run in real arithmetic.
     """
     if p.s <= 0.0:
         raise ValueError("quadrature needs s > 0; the s = 0 kernel is singular")
     h = (2.0 * cfg.half_width) / cfg.panels
     t0 = p.t - cfg.half_width
-    grid = t0 + h * np.arange(cfg.panels + 1)
-    tau = p.t + 1j * p.s
-    samples = _uniform_samples(f, t0, h, cfg.panels + 1)
-    values = (1j / math.pi) * samples / (tau - grid)
-    weights = np.ones(cfg.panels + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return complex(np.sum(weights * values) * h / 3.0)
+    # with d = t - t', (j/pi) / (d + js) = (s + jd) / (pi (d^2 + s^2))
+    d = p.t - (t0 + h * np.arange(cfg.panels + 1))
+    g = _uniform_samples(f, t0, h, cfg.panels + 1)
+    g /= d * d + p.s * p.s
+    d *= g
+    return complex(p.s * _simpson_sum(g), _simpson_sum(d)) * (h / (3.0 * math.pi))
+
+
+def _simpson_sum(y):
+    """Composite Simpson's sum y_0 + 4 y_1 + 2 y_2 + ... + 4 y_{n-1} + y_n, n even."""
+    return y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()
 
 
 def quadrature_tail_bound(f: LineSpectrum, p: ComplexTimePoint,

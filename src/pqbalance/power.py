@@ -99,14 +99,15 @@ class _LineAmplitudes:
         rows = [[d[b.id] for d in phasors[_RULES[b.kind][0]]] for b in self._branches]
         return np.array(rows, dtype=complex).reshape(len(rows), len(self.omegas))
 
-    def analytic(self, t_arr, s_arr):
+    def analytic(self, t_arr, s_arr, phase):
         """Port rows (u, i), every a_b and every stored a'_b on the (t, s) grid.
 
-        One kernel call over the stacked rows; a'_b is a_b with each line times jw.
+        One kernel call over the stacked rows, with ``phase`` the kernel's
+        phase matrix on ``t_arr``; a'_b is a_b with each line times jw.
         """
         store, n_b = self.store, len(self.branch)
         rows = (self.port, self.branch, self.branch[store] * (1j * self.omegas))
-        grid = spectrum._analytic(self.omegas, np.concatenate(rows), t_arr, s_arr)
+        grid = spectrum._analytic(self.omegas, np.concatenate(rows), t_arr, s_arr, phase)
         return grid[:2], grid[2:2 + n_b], grid[2 + n_b:]
 
     def reactive_energy(self) -> np.ndarray:
@@ -211,8 +212,10 @@ class ScaledQuantities:
     and ``q`` are the real and imaginary parts of half the port voltage
     times the conjugate port current.  The exact t-derivative of
     ``w_stored`` and s-derivative of ``x_reactive`` ride along privately,
-    with the line amplitudes that produced them.  ``_instant`` holds the
-    instantaneous terms on ``t``, evaluated on first read.
+    with the line amplitudes that produced them and the kernel's phase
+    matrix on ``t``, which every later kernel call on ``t`` reuses.
+    ``_instant`` holds the instantaneous terms on ``t``, evaluated on
+    first read.
     """
 
     t: np.ndarray
@@ -227,6 +230,7 @@ class ScaledQuantities:
     _dw_dt: np.ndarray = field(repr=False, compare=False, default=None)
     _dx_ds: np.ndarray = field(repr=False, compare=False, default=None)
     _lines: _LineAmplitudes = field(repr=False, compare=False, default=None)
+    _phase: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         for name in ("t", "s"):
@@ -246,7 +250,8 @@ class ScaledQuantities:
         bit for bit.
         """
         lines = self._lines
-        (u_a, i_a), a, a_dot = (rows[..., 0] for rows in lines.analytic(self.t, np.zeros(1)))
+        (u_a, i_a), a, a_dot = (
+            rows[..., 0] for rows in lines.analytic(self.t, np.zeros(1), self._phase))
         a, store = a.real, lines.store
         energy = 2.0 * lines.c[:, None] * a ** 2
         w_m, w_e = energy[lines.sigma > 0.0].sum(axis=0), energy[lines.sigma < 0.0].sum(axis=0)
@@ -284,7 +289,8 @@ def scaled(sol: NetworkSolution, t_grid, s_grid) -> ScaledQuantities:
     t_arr, s_arr = spectrum._grid(t_grid, s_grid)
     lines = _LineAmplitudes(sol)
     store = lines.store
-    (u_a, i_a), a, a_dot = lines.analytic(t_arr, s_arr)
+    phase = spectrum._phase(t_arr, lines.omegas)
+    (u_a, i_a), a, a_dot = lines.analytic(t_arr, s_arr, phase)
     energy = lines.c[:, None, None] * np.abs(a) ** 2
     w_m = energy[lines.sigma > 0.0].sum(axis=0)
     w_e = energy[lines.sigma < 0.0].sum(axis=0)
@@ -303,6 +309,7 @@ def scaled(sol: NetworkSolution, t_grid, s_grid) -> ScaledQuantities:
         _dw_dt=2.0 * rate.real.sum(axis=0),
         _dx_ds=-2.0 * (lines.sigma[store, None, None] * rate.imag).sum(axis=0),
         _lines=lines,
+        _phase=phase,
     )
 
 
@@ -334,7 +341,7 @@ def _central_difference(sq: ScaledQuantities, weights, forward, backward, s_arr,
     lines = sq._lines
     amps, weights = lines.branch[lines.store], weights[lines.store, None, None]
     rows = np.concatenate((amps * forward, amps * backward))
-    a = spectrum._analytic(lines.omegas, rows, sq.t, s_arr)
+    a = spectrum._analytic(lines.omegas, rows, sq.t, s_arr, sq._phase)
     fwd, bwd = a[:len(amps)], a[len(amps):]
     return ((weights * np.abs(fwd) ** 2).sum(axis=0)
             - (weights * np.abs(bwd) ** 2).sum(axis=0)) / (2.0 * h)

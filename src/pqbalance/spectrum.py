@@ -132,7 +132,12 @@ def _grid(t, s):
     return np.asarray(t, dtype=float).ravel(), s_arr
 
 
-def _analytic(omegas, amps, t, s):
+def _phase(t, omegas):
+    """The phase matrix ``e^{j w_k t}``, of shape ``t.shape + omegas.shape``."""
+    return np.exp(1j * np.multiply.outer(t, omegas))
+
+
+def _analytic(omegas, amps, t, s, phase=None):
     """``sum_k A_k e^{j w_k t} e^{-w_k s}`` for each row of ``amps`` over ``omegas``.
 
     ``amps`` holds amplitudes on the L lines: one row, or a stack of rows
@@ -140,13 +145,14 @@ def _analytic(omegas, amps, t, s):
     t.shape + s.shape`` (a stack of rows needs a 1-d ``t``).  A scalar
     ``s >= 0`` takes one row and gives ``t.shape`` from one matrix-vector
     product, at ``s == 0`` on the undamped amplitudes.  An empty line set
-    gives zeros.
+    gives zeros.  ``phase``, when given, is ``_phase(t, omegas)`` formed
+    once for several calls on the same times and lines.
     """
     if np.ndim(s):
         amps = amps[..., None] * np.exp(-np.multiply.outer(omegas, s))
     elif s:
         amps = amps * np.exp(-omegas * s)
-    return np.exp(1j * np.multiply.outer(t, omegas)) @ amps
+    return (_phase(t, omegas) if phase is None else phase) @ amps
 
 
 @dataclass(frozen=True)

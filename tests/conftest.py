@@ -159,8 +159,8 @@ def kernel_calls(monkeypatch):
     shapes = []
     kernel = spectrum._analytic
 
-    def counted(omegas, amps, t, s):
-        out = kernel(omegas, amps, t, s)
+    def counted(omegas, amps, t, s, phase=None):
+        out = kernel(omegas, amps, t, s, phase)
         if np.ndim(s):
             shapes.append(out.shape)
         return out

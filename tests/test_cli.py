@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ from pqbalance.power import scaled, verify_balances
 from pqbalance.spectrum import LineSpectrum
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+SRC = BENCH.parent / "src"
 
 ROOT2 = math.sqrt(2.0)
 
@@ -459,3 +463,35 @@ def test_verify_fails_with_zero_tolerance(bench_dir, capsys):
     assert code == EXIT_NUMERIC
     out = capsys.readouterr().out
     assert "FAIL" in out and "exceeds" in out
+
+
+# ----------------------------------------------------------------------
+# dependencies
+
+
+NO_SCIPY_PROBE = """
+import sys
+
+from pqbalance import cli, ode_steady_state
+
+config, out = sys.argv[1:]
+for argv in (["analyze", "--config", config, "--out", out],
+             ["verify", "--config", config],
+             ["sweep-s", "--config", config, "--out", out]):
+    assert cli.main(argv) == cli.EXIT_OK, argv
+cfg = cli.load_config(config)
+ode_steady_state(cfg.netlist, cfg.source, periods=10, steps_per_period=256)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_and_oracle_run_without_scipy(bench_dir):
+    # numpy's LAPACK solves every linear system; scipy would triple the import
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_PROBE, str(bench_dir / "flicker_config.json"),
+         str(bench_dir / "out")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"

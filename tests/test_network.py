@@ -1,6 +1,7 @@
 """Frequency-domain load solver: per-line phasors, validation, circuit laws."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -235,6 +236,64 @@ def test_current_free_line_is_not_reported_singular():
         ph = solve_frequency(net, 0.0, 1.0)
         assert abs(ph.port_current) <= 1e-12
         assert ph.voltage["c"] == pytest.approx(1.0, rel=1e-12)
+
+
+# ----------------------------------------------------------------------
+# the singularity gate
+
+
+@pytest.mark.parametrize("exponent", range(6, 17))
+def test_resonance_boundary(exponent):
+    # a lossless series L-C across the port shorts it at resonance; a line
+    # detuned by 10**-exponent is solved down to 1e-12 and singular from 1e-13
+    l, c = 1e-3, 1e-6
+    net = Netlist(
+        (Branch("l", INDUCTOR, l, ("p", "n")), Branch("c", CAPACITOR, c, ("n", "0"))),
+        ("p", "0"),
+    )
+    omega = (1.0 + 10.0 ** -exponent) / math.sqrt(l * c)
+    if exponent >= 13:
+        with pytest.raises(SingularNetworkError):
+            solve_frequency(net, omega, 1.0)
+        return
+    # the error grows as 1/detuning, to 6.6e-5 at 1e-12
+    w, l_, c_ = Fraction(omega), Fraction(l), Fraction(c)
+    exact = -float(w * c_ / (w * w * l_ * c_ - 1))
+    assert solve_frequency(net, omega, 1.0).port_current == pytest.approx(1j * exact, rel=1e-3)
+
+
+# The draws among the first 500 of the seed-777 protocol (random_netlist, then
+# random_source with allow_dc=True) whose solve is singular, every one at DC.
+SINGULAR_777 = (
+    1, 2, 11, 14, 17, 21, 32, 33, 34, 38, 40, 41, 42, 45, 46, 51, 54, 55, 57, 60, 61,
+    62, 64, 67, 68, 71, 77, 82, 84, 92, 93, 96, 97, 98, 103, 111, 113, 121, 124, 125,
+    131, 132, 134, 135, 137, 140, 143, 144, 145, 147, 148, 153, 154, 161, 162, 166,
+    167, 168, 177, 187, 199, 200, 201, 202, 203, 204, 205, 214, 220, 221, 225, 227,
+    228, 232, 234, 240, 243, 251, 255, 261, 264, 266, 269, 276, 277, 281, 288, 289,
+    294, 297, 298, 308, 310, 314, 319, 320, 321, 322, 323, 325, 329, 330, 332, 338,
+    341, 343, 348, 349, 351, 354, 356, 367, 371, 372, 373, 377, 381, 387, 392, 395,
+    400, 401, 404, 405, 406, 409, 410, 412, 417, 418, 424, 426, 429, 435, 439, 441,
+    446, 447, 448, 450, 451, 455, 457, 459, 465, 471, 475, 478, 480, 481, 482, 483,
+    492, 495,
+)
+
+
+def test_singular_draws_of_the_seed_777_protocol():
+    rng = np.random.default_rng(777)
+    singular, nets = {}, {}
+    for k in range(500):
+        nets[k] = random_netlist(rng)
+        try:
+            solve(nets[k], random_source(rng, allow_dc=True))
+        except SingularNetworkError as exc:
+            singular[k] = exc.omega
+    assert singular == dict.fromkeys(SINGULAR_777, 0.0)
+    # inductor loops: no zero row and no zero pivot, so the condition
+    # estimate is what flags these two
+    for k in (131, 435):
+        stamps = nets[k]._stamps
+        a = stamps.g / np.abs(stamps.g).max(axis=1)[:, None]
+        assert np.isfinite(np.linalg.solve(a, np.ones(len(a)))).all()
 
 
 # ----------------------------------------------------------------------

@@ -402,6 +402,62 @@ def rc_across_port():
     )
 
 
+def test_factored_rejects_singular_step_matrices():
+    # an all-zero row, an exactly zero pivot, and kappa_1 of about 4e15
+    for mat in ([[1.0, 2.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]],
+                [[1.0, 1.0], [1.0, 1.0 + 1e-15]]):
+        with pytest.raises(SingularNetworkError, match="implicit step matrix is singular"):
+            _factored(np.array(mat), 2.0)
+
+
+def test_factored_scales_rows_before_judging():
+    # rows twenty-four decades apart, but a well-conditioned system
+    mat = np.array([[1e12, 2e12], [3e-12, -1e-12]])
+    x = _factored(mat, 1.0)(np.array([5e12, 1e-12]))
+    np.testing.assert_allclose(x, [1.0, 2.0], rtol=1e-15)
+
+
+def test_factored_accepts_the_acceptance_nets():
+    # the draws of test_acceptance's ODE ensemble, which reaches its 20 nets
+    # within 40 draws; their step matrices have kappa_1 below 6e6
+    rng = np.random.default_rng(57721566)
+    for _ in range(40):
+        net = random_netlist(rng, require_resistor=True)
+        dt = random_source(rng).period / 8192
+        g, c, _, _, _ = _time_domain_matrices(net)
+        eye = np.eye(g.shape[0])
+        for mat in (g + c / dt, g + (1.5 / dt) * c):
+            x = _factored(mat, 1.0 / dt)(eye)
+            scale = (np.abs(mat) @ np.abs(x)).max(axis=0)
+            assert np.all(np.abs(mat @ x - eye).max(axis=0) <= 1e-13 * scale)
+
+
+def test_block_stepper_forms_each_tail_power_once(monkeypatch):
+    net = rc_across_port()
+    g, c, _, _, src = _time_domain_matrices(net)
+    dt = 2.0 * math.pi / 1000
+    main = _factored(g + (1.5 / dt) * c, 1.5 / dt)
+    size = g.shape[0]
+    rhs = np.zeros(size)
+    rhs[src] = 1.0
+    step = np.block([[main((2.0 / dt) * c), main((-0.5 / dt) * c)],
+                     [np.eye(size), np.zeros((size, size))]])
+    drive = np.concatenate([main(rhs), np.zeros(size)])
+    u = np.cos(dt * np.arange(3 * oracle._BLOCK + 7))
+    fresh = oracle._block_stepper(step, drive, src)
+    want = [fresh(np.zeros(2 * size), u), fresh(np.ones(2 * size), u[:7])]
+    powers = []
+    matrix_power = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        lambda a, n: powers.append(n) or matrix_power(a, n))
+    advance = oracle._block_stepper(step, drive, src)
+    for _ in range(3):
+        got = [advance(np.zeros(2 * size), u), advance(np.ones(2 * size), u[:7])]
+        for (y, z), (want_y, want_z) in zip(got, want):
+            assert np.array_equal(y, want_y) and np.array_equal(z, want_z)
+    assert powers == [oracle._BLOCK, 7]
+
+
 def test_flushed_zeroes_subnormals_and_keeps_normal_entries():
     tiny = np.finfo(float).tiny
     normal = np.array([tiny, -tiny, np.nextafter(tiny, 1.0), -3.5e-300, 1e300, -7.25])
