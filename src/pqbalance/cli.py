@@ -13,6 +13,7 @@ endings, so a fixed config yields byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -114,7 +115,6 @@ def _parse_grid(data, path, nonnegative=False):
 def _parse_source(data, path) -> LineSpectrum:
     if not isinstance(data, dict) or not ({"lines", "am"} & set(data)):
         raise ValueError(f"{path}: expected an object with 'lines' and/or 'am'")
-    total = LineSpectrum.zero(VOLT)
     lines = data.get("lines", [])
     if not isinstance(lines, list):
         raise ValueError(f"{path}.lines: expected an array")
@@ -129,8 +129,7 @@ def _parse_source(data, path) -> LineSpectrum:
         if omega == 0.0 and phase != 0.0:
             raise ValueError(f"{where}: a DC line cannot carry a phase")
         pairs.append((omega, peak * complex(math.cos(phase), math.sin(phase))))
-    if pairs:
-        total = total + LineSpectrum.from_lines(pairs, VOLT)
+    total = LineSpectrum.from_lines(pairs, VOLT)
     if "am" in data:
         raw = data["am"]
         where = f"{path}.am"
@@ -214,10 +213,15 @@ def _write_text(path: Path, text: str):
 
 
 def _write_csv(path: Path, header, columns):
-    rows = [",".join(header)]
-    for row in zip(*columns):
-        rows.append(",".join(_fmt(v) for v in row))
-    _write_text(path, "\n".join(rows) + "\n")
+    """One header line, then the columns side by side as rows of %.17g values.
+
+    The whole table goes through one %-format call, which gives the same
+    text as _fmt value by value.
+    """
+    table = np.array(columns, dtype=float).T
+    rows, cols = table.shape
+    template = (",".join(["%.17g"] * cols) + "\n") * rows
+    _write_text(path, ",".join(header) + "\n" + template % tuple(table.ravel().tolist()))
 
 
 def _write_json(path: Path, document):
@@ -346,7 +350,9 @@ def _tolerance(text) -> float:
     return tol
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every main call."""
     parser = argparse.ArgumentParser(
         prog="pqbalance",
         description="Power and energy analysis of RLC networks under multi-tone drive",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -36,14 +37,15 @@ KINDS = (RESISTOR, INDUCTOR, CAPACITOR)
 # Condition estimate (see solve_frequency) of the row-scaled nodal matrix
 # above which a line is declared singular.  On a lossless series
 # L = 1 mH, C = 1 uF across the port, driven at a relative detuning d from
-# resonance, the estimate grows as 1/d: 1.2e13 at d = 1e-12 and 1.2e14 at
-# d = 1e-13, about 0.23 of the exact kappa_1 there.  The pivot-ratio test
-# this gate replaced solved the first and flagged the second, switching
-# between d = 4.5e-13 and 5.0e-13.  3e13 switches at d = 3.9e-13, a factor
-# of 2.6 above the estimate at d = 1e-12 and 3.9 below that at 1e-13.  On
-# the 3,000 seed-777 draws that tests/test_network.py samples, lines that
-# solve estimate at most 7.4e4 and the near-singular ones at least 8.4e16.
-_KAPPA_MAX = 3e13
+# resonance, the estimate grows as 1/d: 2.64e13 at d = 1e-12 and 2.64e14
+# at d = 1e-13, 0.52 of the exact kappa_1 there (5.04e13 and 5.05e14).
+# The pivot-ratio test this gate replaced solved the first and flagged the
+# second, switching between d = 4.5e-13 and 5.0e-13.  6.8e13 switches at
+# d = 3.9e-13, a factor of 2.6 above the estimate at d = 1e-12 and 3.9
+# below that at 1e-13; in kappa_1 that is a threshold of 1.3e14.  On the
+# 3,000 seed-777 draws that tests/test_network.py samples, lines that
+# solve estimate at most 1.1e5 and the near-singular ones at least 7.0e16.
+_KAPPA_MAX = 6.8e13
 # Relative tolerance for the KCL / constitutive-law self-checks.
 _LAW_RTOL = 1e-10
 
@@ -231,60 +233,70 @@ class _Stamps:
         # the ground row is the reference potential and has no equation
         self.incidence = inc = incidence[:-1]
         self.ids = [b.id for b in net.branches]
-        self.values = np.array([b.value for b in net.branches])
+        values = np.array([b.value for b in net.branches])
         kinds = np.array([b.kind for b in net.branches])
-        self.resistor = res = kinds == RESISTOR
-        self.capacitor = cap = kinds == CAPACITOR
-        self.inductor = ind = kinds == INDUCTOR
+        res, cap, ind = (kinds == RESISTOR), (kinds == CAPACITOR), (kinds == INDUCTOR)
         n = self.n_nodes = inc.shape[0]
         src = self.src = n + int(ind.sum())
         self.plus = at[plus]
         self.g = np.zeros((src + 1, src + 1))
         self.c = np.zeros_like(self.g)
-        self.g[:n, :n] = (inc[:, res] / self.values[res]) @ inc[:, res].T
-        self.c[:n, :n] = (inc[:, cap] * self.values[cap]) @ inc[:, cap].T
+        self.g[:n, :n] = (inc[:, res] / values[res]) @ inc[:, res].T
+        self.c[:n, :n] = (inc[:, cap] * values[cap]) @ inc[:, cap].T
         self.g[:n, n:src] = inc[:, ind]
         self.g[n:src, :n] = inc[:, ind].T
-        self.c[range(n, src), range(n, src)] = -self.values[ind]
+        self.c[range(n, src), range(n, src)] = -values[ind]
         # ideal source: current unknown flows out of the + terminal into the net
         self.g[self.plus, src] = -1.0
         self.g[src, self.plus] = 1.0
+        # what the per-line branch quantities and self-checks need of the
+        # netlist: the branches of each kind and their values, and the
+        # branch laws' impedances as resistance plus omega times 1j*L or 1j*C
+        self.res_at, self.cap_at, self.ind_at = (np.flatnonzero(m) for m in (res, cap, ind))
+        self.res_values, self.cap_values = values[res], values[cap]
+        self.capacitor = cap
+        self.law_resistance = np.where(res, values, 0.0).astype(complex)
+        self.law_reactance = np.where(res, 0.0, 1j * values)
+        # the right-hand sides of every line: the port's column, filled per
+        # line, then the two probe columns of the condition estimate
+        self.rhs = np.zeros((src + 1, 3), dtype=complex)
+        self.rhs[:, 1:] = _probes(src + 1)
 
     def branch_phasors(self, omega, x):
         """Branch voltages and currents, in branch order, from the solution x."""
         volts = self.incidence.T @ x[:self.n_nodes]
         amps = np.empty_like(volts)
-        res, cap, ind = self.resistor, self.capacitor, self.inductor
-        amps[res] = volts[res] / self.values[res]
-        amps[cap] = 1j * omega * self.values[cap] * volts[cap]
-        amps[ind] = x[self.n_nodes:self.src]
+        amps[self.res_at] = volts[self.res_at] / self.res_values
+        amps[self.cap_at] = 1j * omega * self.cap_values * volts[self.cap_at]
+        amps[self.ind_at] = x[self.n_nodes:self.src]
         return volts, amps
 
 
-def _self_check(stamps, omega, a, x, volts, amps, v_port):
+def _self_check(stamps, omega, magnitude, x, volts, amps, v_port):
     """KCL at every non-ground node and V = Z*I per branch, both to 1e-10.
 
     The current sums are judged against the largest node row of |A|*|x|
-    for the nodal matrix A and solution x: the magnitudes the solve added
-    up there.  A line that drives no current anywhere leaves only
-    round-off currents, so the currents alone are no scale.  Each
-    branch-law gap is judged against the largest magnitude of its unit
-    anywhere in the solution, so a branch that carries no current is held
-    to the round-off of the whole network, not to its own zero.
+    for the nodal matrix A (`magnitude` is |A|) and solution x: the
+    magnitudes the solve added up there.  A line that drives no current
+    anywhere leaves only round-off currents, so the currents alone are no
+    scale.  Each branch-law gap is judged against the largest magnitude
+    of its unit anywhere in the solution, so a branch that carries no
+    current is held to the round-off of the whole network, not to its own
+    zero.
     """
     port_current = x[stamps.src]
     flows = stamps.incidence @ amps
     flows[stamps.plus] -= port_current
-    kcl_scale = (np.abs(a[:stamps.n_nodes]) @ np.abs(x)).max()
+    kcl_scale = (magnitude[:stamps.n_nodes] @ np.abs(x)).max()
     if np.abs(flows).max() > _LAW_RTOL * max(kcl_scale, 1e-300):
         raise SingularNetworkError(omega, "current-law self-check failed")
     # R and L obey v = z*i with z = R or j*omega*L; C obeys i = z*v with z = j*omega*C
     cap = stamps.capacitor
-    z = np.where(stamps.resistor, stamps.values, 1j * omega * stamps.values)
+    z = stamps.law_resistance + omega * stamps.law_reactance
     gap = np.abs(np.where(cap, amps, volts) - z * np.where(cap, volts, amps))
     amp_scale = max(np.abs(amps).max(initial=abs(port_current)), 1e-300)
     volt_scale = max(np.abs(volts).max(initial=abs(v_port)), 1e-300)
-    failed = gap > _LAW_RTOL * np.where(cap, amp_scale, volt_scale)
+    failed = gap > np.where(cap, _LAW_RTOL * amp_scale, _LAW_RTOL * volt_scale)
     if failed.any():
         first = stamps.ids[failed.argmax()]
         raise SingularNetworkError(omega, f"branch law failed for {first!r}")
@@ -293,8 +305,14 @@ def _self_check(stamps, omega, a, x, volts, amps, v_port):
 @cache
 def _probes(n):
     """Two fixed Gaussian columns of length n, each scaled to unit 1-norm,
-    for the condition estimate."""
-    probes = np.random.default_rng(0).standard_normal((n, 2))
+    for the condition estimate.
+
+    Drawn row by row from the standard library's generator, which numpy
+    has imported already; numpy.random would add its own import to a
+    process's first solve.
+    """
+    draw = random.Random(0).gauss
+    probes = np.array([[draw(0.0, 1.0), draw(0.0, 1.0)] for _ in range(n)])
     probes /= np.abs(probes).sum(axis=0)
     probes.setflags(write=False)
     return probes
@@ -325,10 +343,9 @@ def solve_frequency(net: Netlist, omega, v_port) -> BranchPhasors:
     row_scale = magnitude.max(axis=1)
     if row_scale.min() <= 0.0:
         raise SingularNetworkError(omega)
-    rhs = np.zeros((a.shape[0], 3), dtype=complex)
+    rhs = stamps.rhs.copy()
     rhs[stamps.src, 0] = v_port
     rhs[:, 0] /= row_scale
-    rhs[:, 1:] = _probes(a.shape[0])
     try:
         solved = np.linalg.solve(a / row_scale[:, None], rhs)
     except np.linalg.LinAlgError:  # an exactly zero pivot
@@ -342,7 +359,7 @@ def solve_frequency(net: Netlist, omega, v_port) -> BranchPhasors:
     if norm * np.abs(solved[:, 1:]).sum(axis=0).max() > _KAPPA_MAX:
         raise SingularNetworkError(omega)
     volts, amps = stamps.branch_phasors(omega, x)
-    _self_check(stamps, omega, a, x, volts, amps, v_port)
+    _self_check(stamps, omega, magnitude, x, volts, amps, v_port)
     return BranchPhasors(
         omega=float(omega),
         port_voltage=complex(v_port),

@@ -223,8 +223,9 @@ def _block_stepper(step, drive, out):
     the block is hop @ z + control @ u_blk, with hop = step^K and column j
     of `control` equal to step^(K-1-j) drive (Burrus, "Block
     implementation of digital filters", IEEE Trans. Circuit Theory,
-    1971).  Returns a function mapping (z, u) to the outputs at the
-    len(u) steps driven by u and the state after them.
+    1971).  Returns a function mapping (z, u, y) to the state after the
+    len(u) steps driven by u; it writes the outputs at those steps into
+    y, a float array of len(u), and with y=None does not form them.
 
     The block start states z_b = hop @ z_{b-1} + kick_b form a linear
     recurrence, which the returned function solves as an inclusive
@@ -263,7 +264,7 @@ def _block_stepper(step, drive, out):
     power = np.linalg.matrix_power(wide, _BLOCK)
     tails = {}  # step^rest for the partial blocks that calls have ended in
 
-    def advance(z, u):
+    def advance(z, u, y=None):
         nonlocal power
         full, rest = divmod(u.size, _BLOCK)
         while len(hops) < full.bit_length():
@@ -277,17 +278,18 @@ def _block_stepper(step, drive, out):
             d = 1 << level
             scan[d:] += scan[:-d] @ hops[level].T
         z = scan[-1]
-        y = np.empty(u.size)
-        forced = y[:full * _BLOCK].reshape(full, _BLOCK)
-        np.matmul(scan[:-1], free.T, out=forced)
-        forced += blocks @ toeplitz.T
+        if y is not None:
+            forced = y[:full * _BLOCK].reshape(full, _BLOCK)
+            np.matmul(scan[:-1], free.T, out=forced)
+            forced += blocks @ toeplitz.T
         if rest:
             tail = u[full * _BLOCK:]
-            y[full * _BLOCK:] = free[:rest] @ z + toeplitz[:rest, :rest] @ tail
+            if y is not None:
+                y[full * _BLOCK:] = free[:rest] @ z + toeplitz[:rest, :rest] @ tail
             if rest not in tails:
                 tails[rest] = _flushed(np.linalg.matrix_power(wide, rest))
             z = tails[rest] @ z + control[:, -rest:] @ tail
-        return y, z
+        return z
 
     return advance
 
@@ -331,8 +333,9 @@ def _integrate(net, source, periods, steps_per_period, kept_periods):
     the backward-Euler start from rest, and one stepper call takes the
     rest of period 0.  Every later call starts on a period boundary and
     takes whole periods, at most max(_CHUNK, spp) steps, so its drive is
-    a prefix of one tiled copy of the sampled period, and its samples
-    fill one slice of the port buffer.  With kept_periods=None every
+    a prefix of one tiled copy of the sampled period, and it writes its
+    samples straight into one slice of the port buffer; a call whose
+    samples are not kept forms none.  With kept_periods=None every
     period is stepped.  Otherwise every period after the first gets the
     same drive, so the stacked state at its end is the affine map
     z -> step^spp @ z + forced of the state at its start, where `forced`
@@ -397,18 +400,19 @@ def _integrate(net, source, periods, steps_per_period, kept_periods):
         """The state after periods p .. p+count-1 from state z, storing their samples."""
         for q in range(p, p + count, group):
             at = q * spp + 1 - first
-            y, z = advance(z, u[:min(group, p + count - q) * spp])
-            port[at:at + y.size] = y
+            n = min(group, p + count - q) * spp
+            z = advance(z, u[:n], port[at:at + n])
         return z
 
     x = start_drive * u[0]
-    y, z = advance(np.concatenate([x, np.zeros(size)]), u[1:spp])
+    z = np.concatenate([x, np.zeros(size)])
     if kept_periods is None:
         port[:2] = 0.0, x[src]
-        port[2:spp + 1] = y
+        z = advance(z, u[1:spp], port[2:spp + 1])
         z = run(z, 1, periods - 1)
     else:
-        forced = advance(np.zeros(2 * size), u[:spp])[1]
+        z = advance(z, u[1:spp])
+        forced = advance(np.zeros(2 * size), u[:spp])
         power, offset = _affine_power(
             _affine_power(step, np.zeros(2 * size), spp)[0], forced, first // spp - 1)
         z = (power @ z + offset).astype(float)

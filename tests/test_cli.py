@@ -1,5 +1,6 @@
 """Command-line front end: config parsing, file outputs, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pqbalance import power
+from pqbalance import cli, power
 from pqbalance.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, load_config, main
 from pqbalance.network import solve
 from pqbalance.power import scaled, verify_balances
@@ -386,6 +387,74 @@ def test_csv_uses_full_precision_and_lf(tmp_path):
     assert b"0.33333333333333331" in raw  # .17g round-trips doubles exactly
 
 
+# the values whose .17g text is easiest to get wrong: signed zero, the
+# smallest subnormal, the largest finite double, non-finite values,
+# integral floats and values that need all 17 digits
+CSV_EDGE_VALUES = (
+    -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    math.nan, math.inf, -math.inf, 1.0, -3.0, 2.0 ** 53, 1e22, 1e16, 0.1, 1.0 / 3.0,
+    -2.0 / 3.0 * 1e-300, 123456789.01234567, -9.8765432109876543e-7, 2.2250738585072014e-308,
+)
+
+
+def per_value_csv(header, columns):
+    rows = [",".join(header)]
+    rows += [",".join(format(float(v), ".17g") for v in row) for row in zip(*columns)]
+    return "\n".join(rows) + "\n"
+
+
+def test_csv_table_matches_per_value_formatting(tmp_path):
+    rng = np.random.default_rng(20161)
+    one_row = [np.array([v]) for v in CSV_EDGE_VALUES]
+    spread = rng.standard_normal(256) * 10.0 ** rng.integers(-300, 300, 256)
+    many_rows = [np.resize(CSV_EDGE_VALUES, 256), spread, np.roll(spread, 7) / 3.0,
+                 np.arange(256.0)]
+    for columns in (one_row, many_rows):
+        header = [f"c{k}" for k in range(len(columns))]
+        cli._write_csv(tmp_path / "table.csv", header, columns)
+        want = per_value_csv(header, columns).encode("utf-8")
+        assert (tmp_path / "table.csv").read_bytes() == want
+
+
+# ----------------------------------------------------------------------
+# the argument parser
+
+
+def test_main_builds_its_parser_once(bench_dir, monkeypatch):
+    cli._build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(parser, *args, **kwargs):
+        if kwargs.get("prog") == "pqbalance":
+            built.append(parser)
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cfg = str(bench_dir / "flicker_config.json")
+    for argv in (["analyze", "--config", cfg, "--out", str(bench_dir / "a")],
+                 ["verify", "--config", cfg],
+                 ["sweep-s", "--config", cfg, "--out", str(bench_dir / "s")]):
+        assert main(argv) == EXIT_OK
+    assert len(built) == 1
+
+
+def test_the_parser_serves_again_after_an_argument_error(bench_dir, capsys):
+    cfg = str(bench_dir / "flicker_config.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--config", cfg, "--format", "xml"])
+    assert exc.value.code == EXIT_INPUT
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    # an earlier call's options do not carry over: --tol falls back to its default
+    assert main(["verify", "--config", cfg, "--tol", "0"]) == EXIT_NUMERIC
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg]) == EXIT_OK
+    assert capsys.readouterr().out.count("PASS") == 4
+    out = bench_dir / "o"
+    assert main(["analyze", "--config", cfg, "--out", str(out), "--format", "csv"]) == EXIT_OK
+    assert (out / "instantaneous.csv").is_file() and not (out / "summary.json").exists()
+
+
 # ----------------------------------------------------------------------
 # sweep-s
 
@@ -481,12 +550,14 @@ for argv in (["analyze", "--config", config, "--out", out],
     assert cli.main(argv) == cli.EXIT_OK, argv
 cfg = cli.load_config(config)
 ode_steady_state(cfg.netlist, cfg.source, periods=10, steps_per_period=256)
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "random"]))
 """
 
 
 def test_cli_and_oracle_run_without_scipy(bench_dir):
-    # numpy's LAPACK solves every linear system; scipy would triple the import
+    # numpy's LAPACK solves every linear system; scipy would triple the import.
+    # numpy.random would add its own import to the first solve.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(

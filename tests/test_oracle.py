@@ -232,9 +232,9 @@ def stepper_drives(monkeypatch):
     def recorded_stepper(step, drive, out):
         advance = stepper(step, drive, out)
 
-        def recorded(z, u):
+        def recorded(z, u, y=None):
             drives.append(u)
-            return advance(z, u)
+            return advance(z, u, y)
 
         return recorded
 
@@ -432,6 +432,12 @@ def test_factored_accepts_the_acceptance_nets():
             assert np.all(np.abs(mat @ x - eye).max(axis=0) <= 1e-13 * scale)
 
 
+def stepped(advance, z, u):
+    """The outputs of one block-stepper call and the state after it."""
+    y = np.empty(u.size)
+    return y, advance(z, u, y)
+
+
 def test_block_stepper_forms_each_tail_power_once(monkeypatch):
     net = rc_across_port()
     g, c, _, _, src = _time_domain_matrices(net)
@@ -445,16 +451,20 @@ def test_block_stepper_forms_each_tail_power_once(monkeypatch):
     drive = np.concatenate([main(rhs), np.zeros(size)])
     u = np.cos(dt * np.arange(3 * oracle._BLOCK + 7))
     fresh = oracle._block_stepper(step, drive, src)
-    want = [fresh(np.zeros(2 * size), u), fresh(np.ones(2 * size), u[:7])]
+    want = [stepped(fresh, np.zeros(2 * size), u), stepped(fresh, np.ones(2 * size), u[:7])]
     powers = []
     matrix_power = np.linalg.matrix_power
     monkeypatch.setattr(np.linalg, "matrix_power",
                         lambda a, n: powers.append(n) or matrix_power(a, n))
     advance = oracle._block_stepper(step, drive, src)
     for _ in range(3):
-        got = [advance(np.zeros(2 * size), u), advance(np.ones(2 * size), u[:7])]
+        got = [stepped(advance, np.zeros(2 * size), u),
+               stepped(advance, np.ones(2 * size), u[:7])]
         for (y, z), (want_y, want_z) in zip(got, want):
             assert np.array_equal(y, want_y) and np.array_equal(z, want_z)
+        # without an output buffer the outputs are skipped, not the state
+        assert np.array_equal(advance(np.zeros(2 * size), u), want[0][1])
+        assert np.array_equal(advance(np.ones(2 * size), u[:7]), want[1][1])
     assert powers == [oracle._BLOCK, 7]
 
 
@@ -488,11 +498,11 @@ def test_block_stepper_takes_a_call_of_any_length():
     u = LineSpectrum.from_lines([(1.0, 2.0), (3.0, 0.5j)], VOLT).evaluate(
         dt * np.arange(3 * oracle._CHUNK + 5))
     z0 = np.zeros(2 * size)
-    y, z = oracle._block_stepper(step, drive, src)(z0, u)
+    y, z = stepped(oracle._block_stepper(step, drive, src), z0, u)
     short = oracle._block_stepper(step, drive, src)
     want, want_z = [], z0
     for at in range(0, u.size, oracle._CHUNK):
-        part, want_z = short(want_z, u[at:at + oracle._CHUNK])
+        part, want_z = stepped(short, want_z, u[at:at + oracle._CHUNK])
         want.append(part)
     want = np.concatenate(want)
     assert np.max(np.abs(y - want)) <= 1e-12 * np.max(np.abs(want))
