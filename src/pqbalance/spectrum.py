@@ -279,17 +279,28 @@ class LineSpectrum:
                 raise ValueError(f"omega must be finite and >= 0, got {omega!r}")
             omegas.append(omega)
             amps.append(complex(amplitude))
-        if not omegas:  # the zero spectrum needs no search
-            self._store(np.empty(0, np.int64), np.empty(0), np.empty(0, complex), unit, None)
-            return
-        base, found = _find_lattice([w for w in omegas if w > 0.0])
-        found = iter(found)
-        keys, first, sums = _sum_by_key(
-            np.array([next(found) if w > 0.0 else 0 for w in omegas], dtype=np.int64),
-            [a.real for a in amps],
-            [a.imag for a in amps],
-        )
-        self._store(keys, np.array(omegas, dtype=float)[first], sums, unit, base)
+        self._on_lines(np.array(omegas, dtype=float), np.array(amps, dtype=complex), unit)
+
+    def _on_lines(self, omegas, amps, unit):
+        """Hold the lines at frequencies ``omegas`` (each finite and >= 0)
+        with amplitudes ``amps``, merged as the constructor documents.
+
+        The one lattice search of every constructed spectrum.  ``amps``
+        must be the caller's own array.  When no line merges or drops, both
+        arrays are held as they are (``amps`` after adding 0.0 in place),
+        so neither may be written to afterwards.  Returns ``self``.
+        """
+        positive = omegas > 0.0
+        base, found = _find_lattice(omegas[positive].tolist())
+        keys = np.zeros(omegas.size, dtype=np.int64)
+        keys[positive] = found
+        if np.all(keys[1:] > keys[:-1]):
+            # nothing merges: each sum is its one entry plus 0.0, as
+            # _sum_by_key's bincount forms it
+            np.add(amps, 0.0, out=amps)
+            return self._store(keys, omegas, amps, unit, base)
+        keys, first, sums = _sum_by_key(keys, amps.real, amps.imag)
+        return self._store(keys, omegas[first], sums, unit, base)
 
     def _store(self, keys, omegas, amps, unit, base, prune=False):
         """Hold lines at ascending distinct lattice indices ``keys`` of ``base``.
@@ -297,7 +308,9 @@ class LineSpectrum:
         Key 0 is the DC line.  Exact zeros, and with ``prune`` lines below
         PRUNE_RTOL of the largest amplitude, are dropped; the base then grows
         by the gcd of the surviving keys.  ``amps`` must be the caller's own
-        array: its DC entry is set to its real part.  Returns ``self``.
+        array: its DC entry is set to its real part.  The arrays are held
+        as they are, made read-only, when no line is dropped.  Returns
+        ``self``.
         """
         if keys.size:
             if not np.all(np.isfinite(amps)):
@@ -309,10 +322,11 @@ class LineSpectrum:
                 amps[0] = amps[0].real
                 mags[0] = abs(amps[0].real)
             keep = mags > (PRUNE_RTOL * mags.max() if prune else 0.0)
-            keys, omegas, amps = keys[keep], omegas[keep], amps[keep]
+            if not keep.all():
+                keys, omegas, amps = keys[keep], omegas[keep], amps[keep]
             shrink = math.gcd(*keys.tolist())
             if shrink > 1:
-                keys //= shrink
+                keys = keys // shrink
                 base *= shrink
         for name, arr in (("_keys", keys), ("_omegas", omegas), ("_amps", amps)):
             arr.setflags(write=False)

@@ -1,6 +1,11 @@
 """Frequency-domain load solver: per-line phasors, validation, circuit laws."""
 
+import copy
 import math
+import pickle
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +29,40 @@ from pqbalance.spectrum import AMPERE, VOLT, LineSpectrum
 from conftest import random_netlist, random_source
 
 ROOT2 = math.sqrt(2.0)
+
+
+def ladder(sections, rng):
+    """Series R, series L, shunt C, shunt R per section; the port at the input."""
+    branches, node = [], "port"
+    for k in range(sections):
+        mid, nxt = f"m{k}", f"a{k + 1}"
+        branches += [
+            Branch(f"r{k}", RESISTOR, rng.uniform(0.1, 1.0), (node, mid)),
+            Branch(f"l{k}", INDUCTOR, rng.uniform(0.1, 1.0), (mid, nxt)),
+            Branch(f"c{k}", CAPACITOR, rng.uniform(0.1, 1.0), (nxt, "gnd")),
+            Branch(f"g{k}", RESISTOR, rng.uniform(1.0, 10.0), (nxt, "gnd")),
+        ]
+        node = nxt
+    return Netlist(tuple(branches), ("port", "gnd"))
+
+
+def harmonics(rng, count, dc=True):
+    """A volt source on ``count`` distinct harmonics of a random base, with DC."""
+    base = rng.uniform(0.3, 3.0)
+    orders = np.sort(rng.choice(np.arange(1, 2 * count + 1), size=count, replace=False))
+    pairs = [(float(n) * base, complex(*rng.uniform(-5.0, 5.0, 2))) for n in orders]
+    return LineSpectrum.from_lines(([(0.0, 1.5)] if dc else []) + pairs, VOLT)
+
+
+def solution_bits(sol):
+    """Every phasor of a solution and every array of its spectra, as bytes."""
+    rows = [[ph.omega, ph.port_voltage, ph.port_current,
+             *ph.voltage.values(), *ph.current.values()] for ph in sol.per_line]
+    parts = [np.array(rows, dtype=complex).tobytes()]
+    for spec in (*sol.branch_voltage.values(), *sol.branch_current.values(), sol.port_current):
+        parts += [spec._keys.tobytes(), spec._omegas.tobytes(), spec._amps.tobytes(),
+                  repr((spec.omega0, spec.unit)).encode()]
+    return b"".join(parts)
 
 
 def series_rl(r=1.0, l=1.0):
@@ -326,6 +365,144 @@ def test_solve_stamps_the_netlist_once(monkeypatch):
     assert len(solve(net, source).per_line) == 64
     solve(net, source)
     assert len(built) == 1
+
+
+def _plain_line(net, omega, v_port):
+    """Branch voltages and the port current of one line from the textbook
+    expressions: fresh arrays for A(omega), its row scaling and the real
+    incidence's products."""
+    stamps = net._stamps
+    a = stamps.g + 1j * omega * stamps.c
+    row_scale = np.abs(a).max(axis=1)
+    rhs = stamps.rhs.copy()
+    rhs[stamps.src, 0] = v_port
+    rhs[:, 0] /= row_scale
+    x = np.linalg.solve(a / row_scale[:, None], rhs)[:, 0]
+    return stamps.incidence.real.T @ x[:stamps.n_nodes], complex(x[stamps.src])
+
+
+def test_in_place_assembly_gives_the_bits_of_the_plain_expressions():
+    rng = np.random.default_rng(777)
+    cases = [(ladder(40, rng), harmonics(rng, 16))]
+    cases += [(random_netlist(rng), random_source(rng, allow_dc=True)) for _ in range(300)]
+    checked = 0
+    for net, source in cases:
+        for omega, v_port in zip(source.omegas.tolist(), source.amplitudes.tolist()):
+            try:
+                ph = solve_frequency(net, omega, v_port)
+            except SingularNetworkError:
+                continue
+            volts, port_current = _plain_line(net, omega, v_port)
+            assert np.array(list(ph.voltage.values())).tobytes() == volts.tobytes()
+            assert np.array(ph.port_current).tobytes() == np.array(port_current).tobytes()
+            checked += 1
+    assert checked > 1000
+
+
+def test_a_line_allocates_no_nodal_matrix_temporaries():
+    # after the first line, A(omega) and |A(omega)| live in the thread's work
+    # arrays; at the parent a line traced 3.0 * n**2 * 16 B
+    net = ladder(40, np.random.default_rng(3))
+    size = net._stamps.src + 1
+    assert size == 122
+    solve_frequency(net, 1.3, 1.0)
+    tracemalloc.start()
+    try:
+        solve_frequency(net, 1.7, 2.0 - 1.0j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * size * size * 16
+
+
+def test_threads_solving_alternately_match_serial_solves():
+    # each thread re-sizes its work arrays at every switch between the nets,
+    # and half of the threads hold the other net at each turn
+    rng = np.random.default_rng(5)
+    small = Netlist(
+        (Branch("r", RESISTOR, 2.0, ("p", "m")), Branch("c", CAPACITOR, 0.5, ("m", "0"))),
+        ("p", "0"),
+    )
+    assert small._stamps.src + 1 == 3
+    cases = [(small, harmonics(rng, 5, dc=False)), (ladder(40, rng), harmonics(rng, 6))]
+    assert cases[1][0]._stamps.src + 1 == 122
+    serial = [solution_bits(solve(net, source)) for net, source in cases]
+    workers, turns = 4, 12
+    barrier = threading.Barrier(workers)
+    results, errors = {w: [] for w in range(workers)}, []
+
+    def work(w):
+        try:
+            for k in range(turns):
+                barrier.wait(timeout=60)
+                which = (w + k) % 2
+                results[w].append((which, solution_bits(solve(*cases[which]))))
+        except Exception as exc:  # noqa: BLE001 -- reported below
+            errors.append(exc)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for w in range(workers):
+        assert len(results[w]) == turns
+        for which, bits in results[w]:
+            assert bits == serial[which]
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))])
+def test_solved_netlists_and_solutions_copy_and_pickle(duplicate):
+    rng = np.random.default_rng(9)
+    net, source = ladder(6, rng), harmonics(rng, 8)
+    sol = solve(net, source)
+    again = duplicate(sol)
+    assert again == sol
+    assert solution_bits(again) == solution_bits(sol)
+    twin = duplicate(net)
+    assert twin == net
+    assert solution_bits(solve(twin, source)) == solution_bits(sol)
+    assert solution_bits(solve(again.netlist, source)) == solution_bits(sol)
+
+
+def _assert_spectra_are_from_lines(sol):
+    omegas = [ph.omega for ph in sol.per_line]
+
+    def check(spec, phasors, unit):
+        want = LineSpectrum.from_lines(zip(omegas, phasors), unit)
+        for name in ("_keys", "_omegas", "_amps"):
+            assert getattr(spec, name).dtype == getattr(want, name).dtype
+            assert getattr(spec, name).tobytes() == getattr(want, name).tobytes(), name
+        assert (spec.omega0, spec.unit) == (want.omega0, want.unit)
+
+    for b in sol.netlist.branches:
+        check(sol.branch_voltage[b.id], [ph.voltage[b.id] for ph in sol.per_line], VOLT)
+        check(sol.branch_current[b.id], [ph.current[b.id] for ph in sol.per_line], AMPERE)
+    check(sol.port_current, [ph.port_current for ph in sol.per_line], AMPERE)
+
+
+def test_solve_builds_the_spectra_from_lines_would_build():
+    rng = np.random.default_rng(777)
+    solved = 0
+    while solved < 200:
+        net = random_netlist(rng)
+        try:
+            sol = solve(net, random_source(rng, allow_dc=True))
+        except SingularNetworkError:
+            continue
+        _assert_spectra_are_from_lines(sol)
+        solved += 1
+    sol = solve(ladder(40, rng), harmonics(rng, 63))
+    assert len(sol.per_line) == 64
+    _assert_spectra_are_from_lines(sol)
 
 
 def _perturb_branch(monkeypatch, bid, quantity):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pqbalance import spectrum
 from pqbalance.network import solve
 from pqbalance.oracle import (
     QuadratureConfig,
@@ -619,6 +620,43 @@ def test_a_zero_line_is_the_zero_spectrum():
 def test_constructor_tolerates_a_rounded_dc_imaginary_part():
     f = LineSpectrum([(0.0, 2.0 + 1e-12j), (1.0, 1.0)])
     assert f.lines[0] == SpectralLine(0.0, 2.0)
+
+
+def _merged(pairs, unit):
+    """The constructor's general route: every line merged through np.unique
+    and bincount, whether or not the lattice keys come out ascending."""
+    omegas = np.array([w for w, _ in pairs], dtype=float)
+    amps = np.array([a for _, a in pairs], dtype=complex)
+    positive = omegas > 0.0
+    base, found = spectrum._find_lattice(omegas[positive].tolist())
+    keys = np.zeros(omegas.size, dtype=np.int64)
+    keys[positive] = found
+    keys, first, sums = spectrum._sum_by_key(keys, amps.real, amps.imag)
+    return object.__new__(LineSpectrum)._store(keys, omegas[first], sums, unit, base)
+
+
+@pytest.mark.parametrize("pairs, ascending", [
+    ([(1.0, complex(-0.0, -0.0)), (2.0, complex(1.5, -0.0)), (3.0, complex(-0.0, 2.0))], True),
+    ([(0.0, -0.0), (1.0, complex(-2.0, -0.0))], True),
+    ([(1.0, 0.0), (2.0, 1.0 + 1.0j), (3.0, 0j), (4.0, -2.0)], True),
+    ([(0.0, 2.5)], True),
+    ([(0.0, 2.0 + 1e-12j), (1.0, 1.0)], True),
+    ([(3.0, 1.0), (1.0, 2j), (0.0, -0.0), (2.0, -1.0)], False),
+    ([(1.0, 1.0), (1.0, -0.0), (2.0, complex(-0.0, 3.0)), (2.0, -0.0)], False),
+    ([(1.0, 1.0), (1.0 + 1e-12, 2.0)], False),
+    ([], True),
+])
+def test_ascending_lines_skip_the_merge_and_keep_its_bits(monkeypatch, pairs, ascending):
+    want = _merged(pairs, VOLT)
+    merges = []
+    merge = spectrum._sum_by_key
+    monkeypatch.setattr(spectrum, "_sum_by_key", lambda *args: merges.append(1) or merge(*args))
+    got = LineSpectrum(pairs, VOLT)
+    assert merges == ([] if ascending else [1])
+    for name in ("_keys", "_omegas", "_amps"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    assert (got.omega0, got.unit) == (want.omega0, want.unit)
 
 
 def _bits(x):
