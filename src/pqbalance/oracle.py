@@ -1,12 +1,14 @@
 """Brute-force validators for the exact frequency-domain machinery.
 
 Everything here recomputes some quantity by a deliberately different
-route: implicit time stepping instead of phasor solves, FFT bin surgery
-instead of line-wise quadrature rotation, direct numerical integration
-of the complex-time kernel instead of its closed form, and plain sample
-averaging instead of exact DC extraction.  The assembly of the
-time-domain equations is written out here from scratch on purpose; it
-shares no code with the frequency-domain solver it is meant to check.
+route: implicit time stepping instead of phasor solves, with the
+periodic steady state found as the fixed point of the stepping's
+one-period map, FFT bin surgery instead of line-wise quadrature
+rotation, direct numerical integration of the complex-time kernel
+instead of its closed form, and plain sample averaging instead of exact
+DC extraction.  The assembly of the time-domain equations is written
+out here from scratch on purpose; it shares no code with the
+frequency-domain solver it is meant to check.
 """
 
 from __future__ import annotations
@@ -20,18 +22,15 @@ import numpy as np
 from .network import CAPACITOR, INDUCTOR, RESISTOR, Netlist, SingularNetworkError
 from .spectrum import VOLT, ComplexTimePoint, LineSpectrum, SampledSignal
 
-# Relative drift between the last two integrated periods above which the
-# settled waveform is considered still transient.
-DRIFT_RTOL = 1e-6
 # Steps per block of the block-state-space recursion: each block's forced
 # response is one product with a Toeplitz matrix of this order.
 _BLOCK = 64
 # Samples per row of _uniform_samples: one complex exponential per line
 # and row start, and one per line and offset within a row.
 _ROW = 256
-# Steps per block-stepper call after period 0, at most, taken as whole
-# periods (one period when it is longer); bounds the temporaries of one
-# call and the repeated-period drive.
+# Steps per block-stepper call after period 0 of a transient, at most,
+# taken as whole periods (one period when it is longer); bounds the
+# temporaries of one call and the repeated-period drive.
 _CHUNK = 16384
 # Smallest normal float64; _flushed sets entries below it to zero.
 _TINY = np.finfo(float).tiny
@@ -41,6 +40,12 @@ _TINY = np.finfo(float).tiny
 # as the LU pivot ratio crosses 1e-12, so there this flags what a pivot-ratio
 # test at 1e-12 would.
 _STEP_KAPPA_MAX = 1e14
+# Singular values of I - M (M the one-period map) below this fraction of
+# the largest are cut in the least-squares fixed-point solve.  A conserved
+# mode sits at rounding level, 2.5e-15 to 1.2e-12 of the largest on the
+# acceptance nets at 8192 steps per period; a series R-L with L/R = 1e6 s
+# driven at a 2 pi s period sits at 6.3e-7 and must not be cut.
+_FIXED_POINT_RCOND = 1e-9
 
 
 class TransientWarning(UserWarning):
@@ -237,15 +242,17 @@ def _block_stepper(step, drive, out):
     enough blocks to need them, so a call may be of any length; so is
     step^r for each length r < K of a partial block that a call ends in.
 
-    The powers are formed in np.longdouble and rounded once, each
-    hop^(2^k) by repeated squaring.  Formed in float64, step^K would carry
+    The powers are taken from one table of np.longdouble powers of step
+    (_power) and rounded once.  Formed in float64, step^K would carry
     about K roundings along a slowly decaying mode, and every hop would
     apply that same error again, so it would grow with the hop count.
     Where longdouble is float64 the operators are still right, to that
-    lesser accuracy.  Every operator is rounded through _flushed.
+    lesser accuracy.  Every operator is rounded through _flushed.  Returns
+    the function and the table, which holds every power formed so far.
     """
     size = step.shape[0]
     wide = step.astype(np.longdouble)
+    powers = {1: wide}
     free = np.empty((_BLOCK, size), dtype=np.longdouble)
     pushed = np.empty((size, _BLOCK), dtype=np.longdouble)
     row = np.zeros(size, dtype=np.longdouble)
@@ -261,15 +268,12 @@ def _block_stepper(step, drive, out):
     toeplitz = np.where(lags >= 0, _flushed(pushed[out])[lags], 0.0)
     control = _flushed(pushed[:, ::-1])
     hops = []  # hop^(2^k), as many as the longest call so far needs
-    power = np.linalg.matrix_power(wide, _BLOCK)
     tails = {}  # step^rest for the partial blocks that calls have ended in
 
     def advance(z, u, y=None):
-        nonlocal power
         full, rest = divmod(u.size, _BLOCK)
         while len(hops) < full.bit_length():
-            hops.append(_flushed(power))
-            power = power @ power
+            hops.append(_flushed(_power(powers, _BLOCK << len(hops))))
         blocks = u[:full * _BLOCK].reshape(full, _BLOCK)
         scan = np.empty((full + 1, size))
         scan[0] = z
@@ -287,63 +291,68 @@ def _block_stepper(step, drive, out):
             if y is not None:
                 y[full * _BLOCK:] = free[:rest] @ z + toeplitz[:rest, :rest] @ tail
             if rest not in tails:
-                tails[rest] = _flushed(np.linalg.matrix_power(wide, rest))
+                tails[rest] = _flushed(_power(powers, rest))
             z = tails[rest] @ z + control[:, -rest:] @ tail
         return z
 
-    return advance
+    return advance, powers
 
 
-def _affine_power(a, b, n):
-    """The affine map z -> a @ z + b composed n >= 1 times, in np.longdouble.
+def _power(powers, n):
+    """a^n for an int n >= 1, from the table powers = {1: a, ...} of
+    np.longdouble powers of one matrix a.
 
-    Returns (a^n, (I + a + ... + a^(n-1)) @ b), formed by binary doubling,
-    (a, b) o (a, b) = (a @ a, a @ b + b): about 2*log2(n) matrix products
-    instead of n (Kogge and Stone, IEEE Trans. Computers, 1973).  Powers
-    of one map commute, so the set bits of n are composed in any order.
-    Every matrix is passed through _flushed in longdouble: entries below
-    float64's normal range drop out, and with them the subnormals that
-    squaring a decaying map would reach and that run many times slower.
+    Binary powering: a power of two is the square of its half, and any
+    other a^n is a^(n - 2^k) @ a^(2^k) for the top bit 2^k of n, so the
+    set bits are composed from the lowest up, as numpy's matrix_power
+    does, in about 2*log2(n) products.  Every power formed on the way is
+    kept in the table under its exponent, so no power is formed twice
+    however many calls ask for it.  Each is passed through _flushed in
+    longdouble: entries below float64's normal range drop out, and with
+    them the subnormals that squaring a decaying map would reach and that
+    run many times slower.
     """
-    a = _flushed(a, np.longdouble)
-    b = np.asarray(b, dtype=np.longdouble)
-    power, offset = None, None
-    while True:
-        if n & 1:
-            power, offset = (a, b) if power is None else (
-                _flushed(a @ power, np.longdouble), a @ offset + b)
-        n >>= 1
-        if not n:
-            return power, offset
-        a, b = _flushed(a @ a, np.longdouble), a @ b + b
+    if n not in powers:
+        top = 1 << (n.bit_length() - 1)
+        low = top >> 1 if n == top else n - top
+        powers[n] = _flushed(_power(powers, low) @ _power(powers, n - low), np.longdouble)
+    return powers[n]
 
 
-def _integrate(net, source, periods, steps_per_period, kept_periods):
-    """Port current of the last `kept_periods` periods, final state, dt and
-    the step index of the first kept sample.
+def _integrate(net, source, periods, steps_per_period, steady):
+    """ode_transient's signal and final state, or with steady=True
+    ode_steady_state's signal and None.
 
-    The one integrator behind ode_transient (kept_periods=None: every
-    sample from t = 0) and ode_steady_state (kept_periods=2).  Its
-    warnings are filed at the line that called the public function.
+    The one integrator behind both public functions.  Its warnings are
+    filed at the line that called the public function.
 
     Period p is steps p*spp + 1 .. (p+1)*spp.  The source is sampled at
     t = dt*k, k < spp, once, and that period drives every period, so the
     source is assumed to repeat exactly over source.period; ode_transient
-    bounds the phase gap of a line off its lattice multiple.  Step 1 is
-    the backward-Euler start from rest, and one stepper call takes the
-    rest of period 0.  Every later call starts on a period boundary and
-    takes whole periods, at most max(_CHUNK, spp) steps, so its drive is
-    a prefix of one tiled copy of the sampled period, and it writes its
-    samples straight into one slice of the port buffer; a call whose
-    samples are not kept forms none.  With kept_periods=None every
-    period is stepped.  Otherwise every period after the first gets the
-    same drive, so the stacked state at its end is the affine map
-    z -> step^spp @ z + forced of the state at its start, where `forced`
-    is one period stepped from zero; the periods between period 0 and the
-    kept window are that map composed by binary doubling (_affine_power).
-    The state is rounded to float64 once, after the hop.  So about four
-    periods are stepped whatever `periods` is, and the result is that of
-    the same recursion within rounding, not bit for bit.
+    bounds the phase gap of a line off its lattice multiple.
+
+    From rest, step 1 is the backward-Euler start, and one stepper call
+    takes the rest of period 0.  Every later call starts on a period
+    boundary and takes whole periods, at most max(_CHUNK, spp) steps, so
+    its drive is a prefix of one tiled copy of the sampled period, and it
+    writes its samples straight into one slice of the port buffer.
+
+    With steady=True, nothing is stepped from rest.  Every period gets the
+    same drive, so the stacked state at the end of a period is the affine
+    map z -> M @ z + forced of the state at its start, where M = step^spp
+    and `forced` is one period stepped from zero.  The periodic steady
+    state is the fixed point z* = M @ z* + forced (the shooting method;
+    Aprille and Trick, Proc. IEEE 60(1), 1972).  M is taken in
+    np.longdouble from the stepper's table of powers, I - M is rounded to
+    float64 once, and z* is its least-squares solution through the
+    pseudo-inverse, with the singular values below _FIXED_POINT_RCOND of
+    the largest cut, then refined once with the residual formed in
+    longdouble: the solve's error scales with the largest entry of z*, a
+    port current, and the BDF2 difference quotient amplifies it in the
+    small voltages (6.5e-11 of the peak on an acceptance net with 82 F
+    across the port, 5e-15 refined).  Then one period is stepped from z*,
+    so two periods are stepped whatever `periods` is, and `periods` only
+    places the window.
     """
     if source.unit != VOLT:
         raise ValueError(f"source must be tagged {VOLT!r}, got {source.unit!r}")
@@ -378,46 +387,41 @@ def _integrate(net, source, periods, steps_per_period, kept_periods):
 
     rhs_vec = np.zeros(size)
     rhs_vec[src] = 1.0
-    start = _factored(g + c / dt, 1.0 / dt)
     main = _factored(g + (1.5 / dt) * c, 1.5 / dt)
-    start_drive = start(rhs_vec)
     two_back = main((2.0 / dt) * c)
     one_back = main((-0.5 / dt) * c)
     drive = main(rhs_vec)
     step = np.block([[two_back, one_back], [np.eye(size), np.zeros((size, size))]])
-    advance = _block_stepper(step, np.concatenate([drive, np.zeros(size)]), src)
-
-    n_steps = periods * spp
-    first = 0 if kept_periods is None else (periods - kept_periods) * spp
-    port = np.empty(n_steps + 1 - first)
+    advance, powers = _block_stepper(step, np.concatenate([drive, np.zeros(size)]), src)
     # u[j] drives step p*spp + 1 + j of every period p: the one sampled
-    # period, rolled by a step and repeated over the periods of one call
-    group = max(_CHUNK // spp, 1)  # periods per call
-    u = np.tile(np.roll(_uniform_samples(source, 0.0, dt, spp), -1), group)
-    u.flags.writeable = False
+    # period, rolled by a step
+    u = np.roll(_uniform_samples(source, 0.0, dt, spp), -1)
 
-    def run(z, p, count):
-        """The state after periods p .. p+count-1 from state z, storing their samples."""
-        for q in range(p, p + count, group):
-            at = q * spp + 1 - first
-            n = min(group, p + count - q) * spp
-            z = advance(z, u[:n], port[at:at + n])
-        return z
-
-    x = start_drive * u[0]
-    z = np.concatenate([x, np.zeros(size)])
-    if kept_periods is None:
-        port[:2] = 0.0, x[src]
-        z = advance(z, u[1:spp], port[2:spp + 1])
-        z = run(z, 1, periods - 1)
-    else:
-        z = advance(z, u[1:spp])
-        forced = advance(np.zeros(2 * size), u[:spp])
-        power, offset = _affine_power(
-            _affine_power(step, np.zeros(2 * size), spp)[0], forced, first // spp - 1)
-        z = (power @ z + offset).astype(float)
+    if steady:
+        forced = advance(np.zeros(2 * size), u)
+        fixed = np.eye(2 * size) - _power(powers, spp)
+        inverse = np.linalg.pinv(fixed.astype(float), rcond=_FIXED_POINT_RCOND)
+        z = inverse @ forced
+        z += inverse @ (forced - fixed @ z).astype(float)
+        port = np.empty(spp + 1)  # the sample after the window is dropped
         port[0] = z[src]
-        z = run(z, periods - kept_periods, kept_periods)
+        advance(z, u, port[1:])
+        return SampledSignal._taking((periods - 1) * spp * dt, dt, port[:spp]), None
+
+    # one call takes `group` periods, or what is left, on one tiled drive
+    group = max(_CHUNK // spp, 1)
+    u = np.tile(u, group)
+    u.flags.writeable = False
+    start = _factored(g + c / dt, 1.0 / dt)
+    n_steps = periods * spp
+    port = np.empty(n_steps + 1)
+    x = start(rhs_vec) * u[0]
+    port[:2] = 0.0, x[src]
+    z = advance(np.concatenate([x, np.zeros(size)]), u[1:spp], port[2:spp + 1])
+    for p in range(1, periods, group):
+        at = p * spp + 1
+        n = min(group, periods - p) * spp
+        z = advance(z, u[:n], port[at:at + n])
     x = z[:size]
 
     def volt_of(name):
@@ -431,7 +435,7 @@ def _integrate(net, source, periods, steps_per_period, kept_periods):
         },
         time=float(dt * n_steps),
     )
-    return port, state, dt, first
+    return SampledSignal._taking(0.0, dt, port), state
 
 
 def ode_transient(net: Netlist, source: LineSpectrum, periods=50, steps_per_period=4096):
@@ -460,40 +464,32 @@ def ode_transient(net: Netlist, source: LineSpectrum, periods=50, steps_per_peri
     returned signal starts at t = 0 and has periods*steps_per_period + 1
     samples; it takes over the integrator's buffer without a copy.
     """
-    port, state, dt, _ = _integrate(net, source, periods, steps_per_period, None)
-    return SampledSignal._taking(0.0, dt, port), state
+    return _integrate(net, source, periods, steps_per_period, False)
 
 
 def ode_steady_state(net: Netlist, source: LineSpectrum, periods=50,
                      steps_per_period=4096) -> SampledSignal:
-    """Settled port current over the final period, from time-domain integration.
+    """Periodic steady state of the port current over one period, from
+    time-domain integration.
 
-    Integrates `periods` common periods from rest with ode_transient's
-    recursion and returns the last one, with the same t0 and dt as the
-    last period of ode_transient's signal.  Only period 0 and the last two
-    periods are stepped; the periods between are hopped with the
-    one-period affine map (_integrate), so the cost does not grow with
-    `periods`.  The samples match ode_transient's within rounding (tested
-    at 1e-12 of the peak), not bit for bit.  Only the last two periods are
-    stored, not the whole transient.  If they differ by more than
-    DRIFT_RTOL relative to the peak, a TransientWarning gives the measured
-    drift; with the default 50 periods that points at a nearly lossless
-    network.
+    The steady state of ode_transient's recursion, solved for directly as
+    the fixed point of its one-period map (_integrate) instead of waiting
+    for the start-up transient to die out, so a slowly decaying mode
+    costs nothing.  The window has the t0 and dt of the last period of
+    ode_transient's signal over `periods` periods, and holds its samples
+    once that transient has settled; `periods` only places the window.
+    Two periods are stepped, and only the returned one is stored.
+
+    A conserved mode, with eigenvalue 1 of the one-period map (the charge
+    of a floating capacitor cutset, or the current around an inductor
+    loop), leaves the fixed point undetermined along it, and least
+    squares picks the one of minimum norm.  Such a mode carries no port
+    current unless inductor branches alone bridge the port, and those
+    nets raise a TransientWarning, so the port samples do not depend on
+    which fixed point is taken, beyond rounding.  On a bridged net they
+    differ from ode_transient's settled period by a constant offset.
     """
-    tail, _, dt, first = _integrate(net, source, periods, steps_per_period, 2)
-    spp = int(steps_per_period)
-    last = tail[spp:2 * spp]
-    prev = tail[:spp]
-    scale = max(float(np.max(np.abs(last), initial=0.0)), 1e-300)
-    drift = float(np.max(np.abs(last - prev), initial=0.0)) / scale
-    if drift > DRIFT_RTOL:
-        warnings.warn(
-            f"waveform still drifting after the settling run: the last two "
-            f"periods differ by {drift:.3g} of the peak (DRIFT_RTOL {DRIFT_RTOL:g})",
-            TransientWarning,
-            stacklevel=2,
-        )
-    return SampledSignal((first + spp) * dt, dt, last)
+    return _integrate(net, source, periods, steps_per_period, True)[0]
 
 
 # ----------------------------------------------------------------------

@@ -128,12 +128,16 @@ def test_transient_warnings_name_the_caller(net, message, integrate):
     assert all(w.filename == __file__ for w in caught if w.category is TransientWarning)
 
 
-def test_underdamped_settling_warns_of_drift():
-    # time constant L/R = 1e6 s: 10 periods cannot settle the cosine transient
+def test_underdamped_mode_settles_in_ten_periods():
+    # time constant L/R = 1e6 s: a transient from rest would need millions
+    # of periods, the fixed point of the period map none; at 256 steps per
+    # period BDF2's own error is 2.0e-4, so the gate is met at 8192
     net = series_rl(r=1e-6, l=1.0)
-    with pytest.warns(TransientWarning, match="drifting"):
-        ode_steady_state(net, LineSpectrum.tone(1.0, 1.0j, VOLT),
-                         periods=10, steps_per_period=256)
+    source = LineSpectrum.tone(1.0, 1.0j, VOLT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sig = ode_steady_state(net, source, periods=10, steps_per_period=8192)
+    assert_settled_on_solve(net, source, sig)
 
 
 def test_final_state_is_consistent():
@@ -230,13 +234,13 @@ def stepper_drives(monkeypatch):
     stepper = oracle._block_stepper
 
     def recorded_stepper(step, drive, out):
-        advance = stepper(step, drive, out)
+        advance, powers = stepper(step, drive, out)
 
         def recorded(z, u, y=None):
             drives.append(u)
             return advance(z, u, y)
 
-        return recorded
+        return recorded, powers
 
     monkeypatch.setattr(oracle, "_block_stepper", recorded_stepper)
     return drives
@@ -432,6 +436,20 @@ def test_factored_accepts_the_acceptance_nets():
             assert np.all(np.abs(mat @ x - eye).max(axis=0) <= 1e-13 * scale)
 
 
+def formed_powers(monkeypatch):
+    """Record the exponent of every power that _power forms, not finds."""
+    formed = []
+    power = oracle._power
+
+    def counted(table, n):
+        if n not in table:
+            formed.append(n)
+        return power(table, n)
+
+    monkeypatch.setattr(oracle, "_power", counted)
+    return formed
+
+
 def stepped(advance, z, u):
     """The outputs of one block-stepper call and the state after it."""
     y = np.empty(u.size)
@@ -450,13 +468,10 @@ def test_block_stepper_forms_each_tail_power_once(monkeypatch):
                      [np.eye(size), np.zeros((size, size))]])
     drive = np.concatenate([main(rhs), np.zeros(size)])
     u = np.cos(dt * np.arange(3 * oracle._BLOCK + 7))
-    fresh = oracle._block_stepper(step, drive, src)
+    fresh, _ = oracle._block_stepper(step, drive, src)
     want = [stepped(fresh, np.zeros(2 * size), u), stepped(fresh, np.ones(2 * size), u[:7])]
-    powers = []
-    matrix_power = np.linalg.matrix_power
-    monkeypatch.setattr(np.linalg, "matrix_power",
-                        lambda a, n: powers.append(n) or matrix_power(a, n))
-    advance = oracle._block_stepper(step, drive, src)
+    formed = formed_powers(monkeypatch)
+    advance, powers = oracle._block_stepper(step, drive, src)
     for _ in range(3):
         got = [stepped(advance, np.zeros(2 * size), u),
                stepped(advance, np.ones(2 * size), u[:7])]
@@ -465,7 +480,9 @@ def test_block_stepper_forms_each_tail_power_once(monkeypatch):
         # without an output buffer the outputs are skipped, not the state
         assert np.array_equal(advance(np.zeros(2 * size), u), want[0][1])
         assert np.array_equal(advance(np.ones(2 * size), u[:7]), want[1][1])
-    assert powers == [oracle._BLOCK, 7]
+    # hop = step^64 and hop^2 for the three full blocks, step^7 for the
+    # partial one, and the powers they are composed of, each formed once
+    assert sorted(formed) == sorted(powers)[1:] == [2, 3, 4, 7, 8, 16, 32, 64, 128]
 
 
 def test_flushed_zeroes_subnormals_and_keeps_normal_entries():
@@ -498,8 +515,8 @@ def test_block_stepper_takes_a_call_of_any_length():
     u = LineSpectrum.from_lines([(1.0, 2.0), (3.0, 0.5j)], VOLT).evaluate(
         dt * np.arange(3 * oracle._CHUNK + 5))
     z0 = np.zeros(2 * size)
-    y, z = stepped(oracle._block_stepper(step, drive, src), z0, u)
-    short = oracle._block_stepper(step, drive, src)
+    y, z = stepped(oracle._block_stepper(step, drive, src)[0], z0, u)
+    short, _ = oracle._block_stepper(step, drive, src)
     want, want_z = [], z0
     for at in range(0, u.size, oracle._CHUNK):
         part, want_z = stepped(short, want_z, u[at:at + oracle._CHUNK])
@@ -509,29 +526,33 @@ def test_block_stepper_takes_a_call_of_any_length():
     assert np.max(np.abs(z - want_z)) <= 1e-12 * np.max(np.abs(want_z))
 
 
-def test_affine_power_matches_repeated_application():
+def test_power_matches_repeated_multiplication():
     rng = np.random.default_rng(31415)
     a = rng.standard_normal((6, 6))
     a *= 0.9 / np.max(np.abs(np.linalg.eigvals(a)))
-    b = rng.standard_normal(6)
-    wide_a, wide_b = a.astype(np.longdouble), b.astype(np.longdouble)
-    for n in (1, 2, 3, 7, 47, 64, 1000):
-        power, offset = oracle._affine_power(a, b, n)
-        want_power, want_offset = np.eye(6, dtype=np.longdouble), np.zeros(6, np.longdouble)
+    wide = a.astype(np.longdouble)
+    powers = {1: wide}
+    for n in (1, 2, 3, 7, 47, 64, 1000, 47):
+        want = np.eye(6, dtype=np.longdouble)
         for _ in range(n):
-            want_power, want_offset = wide_a @ want_power, wide_a @ want_offset + wide_b
-        assert power.dtype == offset.dtype == np.longdouble
-        scale = np.max(np.abs(want_power)) + np.finfo(float).tiny
-        assert np.max(np.abs(power - want_power)) <= 1e-15 * scale, n
-        assert np.max(np.abs(offset - want_offset)) <= 1e-15 * np.max(np.abs(want_offset)), n
+            want = wide @ want
+        power = oracle._power(powers, n)
+        assert power.dtype == np.longdouble and powers[n] is power
+        scale = np.max(np.abs(want)) + np.finfo(float).tiny
+        assert np.max(np.abs(power - want)) <= 1e-15 * scale, n
+    # the powers these exponents needed, and no other
+    assert sorted(powers) == [1, 2, 3, 4, 7, 8, 15, 16, 32, 40, 47, 64, 104, 128, 232,
+                              256, 488, 512, 1000]
 
 
-def test_affine_power_keeps_clear_of_longdouble_subnormals():
+def test_power_keeps_clear_of_longdouble_subnormals():
     # 0.5**(2**14) is a longdouble subnormal; squaring cuts at float64's
     # normal range, so the power reaches exactly zero first
-    power, offset = oracle._affine_power(np.array([[0.5]]), np.array([1.0]), 2**14 + 1)
-    assert power[0, 0] == 0.0
-    assert offset[0] == 2.0
+    powers = {1: np.array([[0.5]], dtype=np.longdouble)}
+    assert oracle._power(powers, 2**14 + 1)[0, 0] == 0.0
+    # 2**-1022 is float64's smallest normal number, and 2**-1023 is below it
+    assert oracle._power(powers, 1022)[0, 0] == np.longdouble(2.0) ** -1022
+    assert oracle._power(powers, 1023)[0, 0] == 0.0
 
 
 def test_block_stepping_matches_loop_with_subnormal_operators(monkeypatch):
@@ -540,11 +561,11 @@ def test_block_stepping_matches_loop_with_subnormal_operators(monkeypatch):
     flushed = oracle._flushed
     subnormals = []
 
-    def spy(a):
+    def spy(a, dtype=float):
         rounded = np.asarray(a, dtype=float)
         subnormals.append(np.count_nonzero((rounded != 0.0)
                                            & (np.abs(rounded) < np.finfo(float).tiny)))
-        return flushed(a)
+        return flushed(a, dtype)
 
     monkeypatch.setattr(oracle, "_flushed", spy)
     source = LineSpectrum.from_lines([(1.0, 2.0), (3.0, 0.5j)], VOLT)
@@ -582,11 +603,13 @@ def test_block_stepping_matches_loop_on_warning_paths():
     lossless = Netlist((Branch("l", INDUCTOR, 1.0, ("p", "0")),), ("p", "0"))
     with pytest.warns(TransientWarning, match="no resistive branch"):
         assert_block_matches_loop(lossless, LineSpectrum.tone(1.0, 1.0, VOLT), 10, 64)
-    underdamped = series_rl(r=1e-6, l=1.0)
-    source = LineSpectrum.tone(1.0, 1.0j, VOLT)
-    with pytest.warns(TransientWarning, match="drifting"):
-        ode_steady_state(underdamped, source, periods=10, steps_per_period=256)
-    assert_block_matches_loop(underdamped, source, 10, 256)
+    bridged = Netlist((Branch("r", RESISTOR, 1.0, ("p", "0")),
+                       Branch("l", INDUCTOR, 1.0, ("p", "0"))), ("p", "0"))
+    with pytest.warns(TransientWarning, match="inductor-only path"):
+        assert_block_matches_loop(bridged, LineSpectrum.tone(1.0, 1.0j, VOLT), 10, 256)
+    # no warning, but a mode that decays over millions of periods
+    assert_block_matches_loop(series_rl(r=1e-6, l=1.0), LineSpectrum.tone(1.0, 1.0j, VOLT),
+                              10, 256)
 
 
 # ----------------------------------------------------------------------
@@ -594,26 +617,42 @@ def test_block_stepping_matches_loop_on_warning_paths():
 
 
 def steady_state_gap(net, source, periods, steps_per_period):
-    """Largest gap between ode_steady_state and the last period of
-    ode_transient, relative to that period's peak; t0 and dt must be equal."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TransientWarning)
+    """Gap between ode_steady_state and the last period of ode_transient,
+    relative to that period's peak; t0 and dt must be equal.
+
+    Returns (gap, drift, bridged).  On a net with an inductor-only path
+    across the port, which warns, the start from rest leaves a constant
+    current offset that the fixed point does not share, so the gap is the
+    spread of the difference: that offset must be constant.  `drift` is
+    the transient's own change over its last period, relative to the peak.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         steady = ode_steady_state(net, source, periods, steps_per_period)
         full, _ = ode_transient(net, source, periods, steps_per_period)
     start = (periods - 1) * steps_per_period
     want = full.samples[start:start + steps_per_period]
+    prev = full.samples[start - steps_per_period:start]
     assert steady.samples.shape == want.shape
     assert steady.t0 == full.times[start] == start * full.dt
     assert steady.dt == full.dt
-    return np.max(np.abs(steady.samples - want)) / np.max(np.abs(want))
+    warned = [str(w.message) for w in caught if w.category is TransientWarning]
+    bridged = bool(warned)
+    assert all("inductor-only path" in m for m in warned)
+    diff = steady.samples - want
+    gap = np.ptp(diff) if bridged else np.max(np.abs(diff))
+    scale = np.max(np.abs(want))
+    return float(gap / scale), float(np.max(np.abs(want - prev)) / scale), bridged
 
 
 def test_steady_state_is_the_last_period_of_the_transient(flicker_netlist, flicker_source):
-    # the settling periods are hopped, not stepped, so the samples agree
-    # within rounding only; the largest gap seen is about 2e-13
-    assert steady_state_gap(flicker_netlist, flicker_source, 50, 4096) <= 1e-12
+    # the fixed point is solved for, not stepped into, so the samples agree
+    # within rounding only (3.8e-15 here), and a bridged net's offset is
+    # constant within 2e-13 of the peak
+    gap, _, bridged = steady_state_gap(flicker_netlist, flicker_source, 50, 4096)
+    assert not bridged and gap <= 1e-12
     rng = np.random.default_rng(16180339)
-    checked = 0
+    checked = bridges = 0
     while checked < 10:
         net = random_netlist(rng, require_resistor=True)
         source = random_source(rng, allow_dc=True)
@@ -621,14 +660,21 @@ def test_steady_state_is_the_last_period_of_the_transient(flicker_netlist, flick
             solve(net, source)
         except SingularNetworkError:
             continue
-        assert steady_state_gap(net, source, 12, 1500) <= 1e-12
+        gap, _, bridged = steady_state_gap(net, source, 12, 1500)
+        assert gap <= (1e-11 if bridged else 1e-12)
         checked += 1
+        bridges += bridged
+    assert bridges > 0
 
 
 def test_steady_state_is_the_last_period_of_the_transient_on_oracle_nets():
-    # drawn as the acceptance suite's dissipative oracle cases, at its 50 x 8192 steps
+    # drawn as the acceptance suite's oracle cases, at its 50 x 8192 steps;
+    # a transient that still moves by more than 1e-12 of its peak over its
+    # last period is no reference at that bound, so its net is skipped
+    # (draws 1, 3, 6, 12 and 14; 1 and 12 are acceptance nets, held to
+    # solve there)
     rng = np.random.default_rng(57721566)
-    checked = 0
+    checked = bridges = 0
     while checked < 8:
         net = random_netlist(rng, require_resistor=True)
         source = random_source(rng)
@@ -636,18 +682,18 @@ def test_steady_state_is_the_last_period_of_the_transient_on_oracle_nets():
             solve(net, source)
         except SingularNetworkError:
             continue
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ode_steady_state(net, source, 50, 8192)
-        if any(issubclass(w.category, TransientWarning) for w in caught):
-            continue  # not settled; the acceptance cases skip it too
-        assert steady_state_gap(net, source, 50, 8192) <= 1e-12
+        gap, drift, bridged = steady_state_gap(net, source, 50, 8192)
+        if drift > 1e-12:
+            continue
+        assert gap <= (1e-11 if bridged else 1e-12)
         checked += 1
+        bridges += bridged
+    assert bridges > 0
 
 
 @pytest.mark.parametrize("steps_per_period", [2, 37, 1500, 8192])
-def test_steady_state_steps_about_four_periods(monkeypatch, flicker_netlist, flicker_source,
-                                               steps_per_period):
+def test_steady_state_steps_two_periods(monkeypatch, flicker_netlist, flicker_source,
+                                        steps_per_period):
     spp = steps_per_period
     drives = stepper_drives(monkeypatch)
     calls = []
@@ -658,70 +704,138 @@ def test_steady_state_steps_about_four_periods(monkeypatch, flicker_netlist, fli
         return sampler(f, t0, h, n)
 
     monkeypatch.setattr(oracle, "_uniform_samples", counted)
-
-    def assert_whole_periods(steps):
-        # the rest of period 0 after the backward-Euler start, then whole
-        # periods per call, at most max(_CHUNK, spp) steps
-        assert steps[0] == spp - 1
-        assert all(n % spp == 0 and 0 < n <= max(oracle._CHUNK, spp) for n in steps[1:])
-
     for periods in (10, 50, 2000):
         drives.clear()
         calls.clear()
         ode_steady_state(flicker_netlist, flicker_source, periods, spp)
-        steps = [u.size for u in drives]
-        assert 0 < sum(steps) <= 4 * spp + 1
-        assert_whole_periods(steps)
+        # one period from zero, then one from the fixed point; none from rest
+        assert [u.size for u in drives] == [spp, spp]
         assert calls == [spp]
-    # the transient still takes every step: all but the backward-Euler start
+    # the transient still takes every step: all but the backward-Euler
+    # start, the rest of period 0 in one call, then whole periods per call,
+    # at most max(_CHUNK, spp) steps
     drives.clear()
     ode_transient(flicker_netlist, flicker_source, 10, spp)
     steps = [u.size for u in drives]
     assert sum(steps) == 10 * spp - 1
-    assert_whole_periods(steps)
+    assert steps[0] == spp - 1
+    assert all(n % spp == 0 and 0 < n <= max(oracle._CHUNK, spp) for n in steps[1:])
 
 
-def assert_settled_on_solve(net, source, sig):
+def test_steady_state_forms_no_power_twice(monkeypatch, flicker_netlist, flicker_source):
+    formed = formed_powers(monkeypatch)
+    for spp in (37, 1500, 8192):
+        formed.clear()
+        ode_steady_state(flicker_netlist, flicker_source, 50, spp)
+        assert len(formed) == len(set(formed)) and spp in formed
+
+
+def assert_settled_on_solve(net, source, sig, rtol=1e-4):
     """The oracle's 1e-4 gate against solve, at the sample times reduced
     to the first period: t0 is a whole number of periods, and far from 0
     a float time carries no useful phase."""
     want = solve(net, source).port_current.evaluate(sig.dt * np.arange(len(sig)))
-    assert np.max(np.abs(sig.samples - want)) <= 1e-4 * np.max(np.abs(want))
+    assert np.max(np.abs(sig.samples - want)) <= rtol * np.max(np.abs(want))
 
 
 def test_steady_state_settles_a_slow_mode_over_a_hundred_million_periods():
-    # time constant L/R = 1e6 s: 10**8 periods of 2 pi s are about 630 of
-    # them, which would be 8.2e11 steps if every period were stepped; the
-    # start from rest leaves an offset of the whole current amplitude
+    # time constant L/R = 1e6 s: a start from rest would leave an offset of
+    # the whole current amplitude for millions of periods; the fixed point
+    # has none, and `periods` only places the window
     net = series_rl(r=1e-6, l=1.0)
     source = LineSpectrum.tone(1.0, 1.0j, VOLT)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sig = ode_steady_state(net, source, 10**8, 8192)
+        early = ode_steady_state(net, source, 10, 8192)
     assert sig.t0 == (10**8 - 1) * 8192 * sig.dt
     assert_settled_on_solve(net, source, sig)
-    with pytest.warns(TransientWarning, match="drifting"):
-        ode_steady_state(net, source, 10, 8192)
+    assert np.array_equal(sig.samples, early.samples)
     lossless = Netlist((Branch("l", INDUCTOR, 1.0, ("p", "0")),), ("p", "0"))
     with pytest.warns(TransientWarning, match="no resistive branch"):
         sig = ode_steady_state(lossless, source, 10**8, 8192)
     assert np.all(np.isfinite(sig.samples))
 
 
-def test_drift_warning_reports_the_drift():
+def test_slow_mode_error_is_the_integrators_own():
+    # ten periods of 2 pi s against a 1e6 s time constant: what is left of
+    # the gap to solve is BDF2's own error, 2.0e-4 of the peak at 256 steps
+    # per period, falling four-fold per halving of the step
     net = series_rl(r=1e-6, l=1.0)
     source = LineSpectrum.tone(1.0, 1.0j, VOLT)
-    with pytest.warns(TransientWarning, match="drifting") as caught:
-        ode_steady_state(net, source, 10, 256)
-    message = str(caught[0].message)
-    found = re.search(r"differ by (\S+) of the peak \(DRIFT_RTOL (\S+)\)", message)
-    assert found, message
-    assert float(found[2]) == oracle.DRIFT_RTOL
-    full, _ = ode_transient(net, source, 10, 256)
-    last, prev = full.samples[9 * 256:10 * 256], full.samples[8 * 256:9 * 256]
-    drift = np.max(np.abs(last - prev)) / np.max(np.abs(last))
-    assert float(found[1]) == pytest.approx(drift, rel=1e-2)
-    assert drift > oracle.DRIFT_RTOL
+    truth = solve(net, source).port_current
+
+    def err(spp):
+        sig = ode_steady_state(net, source, 10, spp)
+        want = truth.evaluate(sig.dt * np.arange(len(sig)))
+        return np.max(np.abs(sig.samples - want)) / np.max(np.abs(want))
+
+    assert err(256) == pytest.approx(2.0e-4, rel=0.01)
+    assert 3.9 < err(256) / err(512) < 4.1
+
+
+def test_steady_state_pins_acceptance_net_12():
+    # the twelfth acceptance net, draw 23 of its protocol: 50 periods from
+    # rest left 7.8e-5 of transient in the window, the fixed point none
+    rng = np.random.default_rng(57721566)
+    for _ in range(23):
+        net = random_netlist(rng, require_resistor=True)
+        source = random_source(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sig = ode_steady_state(net, source, steps_per_period=8192)
+    assert_settled_on_solve(net, source, sig, rtol=1e-6)
+
+
+def test_steady_state_with_a_floating_capacitor_cutset(monkeypatch):
+    # nodes a and n touch capacitors only, so their charges are conserved:
+    # the one-period map has an eigenvalue 1, and the fixed point is not
+    # unique
+    net = Netlist(
+        (
+            Branch("c1", CAPACITOR, 0.5, ("p", "a")),
+            Branch("c2", CAPACITOR, 0.3, ("a", "b")),
+            Branch("c3", CAPACITOR, 0.2, ("a", "n")),
+            Branch("c4", CAPACITOR, 0.7, ("n", "0")),
+            Branch("r1", RESISTOR, 2.0, ("b", "0")),
+            Branch("r2", RESISTOR, 1.0, ("p", "0")),
+        ),
+        ("p", "0"),
+    )
+    source = LineSpectrum.from_lines([(1.0, 2.0), (3.0, 0.5j)], VOLT)
+    ratios = []  # sigma_min / sigma_max of I - M
+    pinv = np.linalg.pinv
+
+    def recorded(a, rcond):
+        sv = np.linalg.svd(a, compute_uv=False)
+        ratios.append(sv[-1] / sv[0])
+        return pinv(a, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "pinv", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sig = ode_steady_state(net, source, steps_per_period=4096)
+    assert ratios[0] < oracle._FIXED_POINT_RCOND
+    assert_settled_on_solve(net, source, sig)
+    # the transient holds both charges at zero, least squares at its
+    # minimum-norm values; the port sees them only through rounding, about
+    # 8e-12 of a unit state over a period (1.1e-11 of the peak here)
+    gap, _, _ = steady_state_gap(net, source, 50, 4096)
+    assert gap <= 1e-10
+
+
+@pytest.mark.parametrize("detuning", [0.5, 0.7, 1.3])
+def test_steady_state_of_a_lossless_lc_off_resonance(detuning):
+    # nothing decays, so a start from rest never settles; the fixed point
+    # exists whenever no source line sits on the resonance
+    net = Netlist(
+        (Branch("l", INDUCTOR, 1e-3, ("p", "m")), Branch("c", CAPACITOR, 1e-6, ("m", "0"))),
+        ("p", "0"),
+    )
+    source = LineSpectrum.tone(detuning / math.sqrt(1e-3 * 1e-6), 1.0, VOLT)
+    with pytest.warns(TransientWarning, match="no resistive branch"):
+        sig = ode_steady_state(net, source, steps_per_period=4096)
+    assert_settled_on_solve(net, source, sig, rtol=1e-5)
 
 
 def test_steady_state_counts_do_not_wrap(flicker_netlist, flicker_source):
