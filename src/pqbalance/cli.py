@@ -52,30 +52,20 @@ def _fmt(value) -> str:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Validated analysis request: netlist, source, grids, output policy."""
+    """Validated analysis request: netlist, source, resolved grids, output policy."""
 
     netlist: Netlist
     source: LineSpectrum
-    t_values: np.ndarray | None
-    t_count: int | None
-    s_values: np.ndarray | None
-    s_count: int | None
+    t_grid: np.ndarray
+    s_grid: np.ndarray
     out_dir: str | None
     formats: tuple[str, ...]
 
     def time_grid(self) -> np.ndarray:
-        if self.t_values is not None:
-            return self.t_values
-        if self.t_count is not None:
-            return default_t_grid(self.source, self.t_count)
-        return default_t_grid(self.source)
+        return self.t_grid
 
     def scale_grid(self) -> np.ndarray:
-        if self.s_values is not None:
-            return self.s_values
-        if self.s_count is not None:
-            return default_s_grid(self.source, self.s_count)
-        return default_s_grid(self.source)
+        return self.s_grid
 
 
 def _require_number(value, path):
@@ -90,8 +80,12 @@ def _require_number(value, path):
     return number
 
 
-def _parse_grid(data, path, nonnegative=False):
-    """Either {"n": count} or {"values": [...]} -> (values, count)."""
+def _parse_grid(config, key, path, default, nonnegative=False) -> np.ndarray:
+    """config[key] as {"n": count} or {"values": [...]}; default() when absent."""
+    if key not in config:
+        return default()
+    data = config[key]
+    path = f"{path}: {key}"
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected an object with 'n' or 'values'")
     if ("n" in data) == ("values" in data):
@@ -100,7 +94,7 @@ def _parse_grid(data, path, nonnegative=False):
         n = data["n"]
         if isinstance(n, bool) or not isinstance(n, int) or n < 2:
             raise ValueError(f"{path}.n: expected an integer >= 2, got {n!r}")
-        return None, n
+        return default(n)
     values = data["values"]
     if not isinstance(values, list) or not values:
         raise ValueError(f"{path}.values: expected a nonempty array")
@@ -109,7 +103,7 @@ def _parse_grid(data, path, nonnegative=False):
     )
     if nonnegative and np.any(arr < 0.0):
         raise ValueError(f"{path}.values: scale values must be >= 0")
-    return arr, None
+    return arr
 
 
 def _parse_source(data, path) -> LineSpectrum:
@@ -145,41 +139,36 @@ def _parse_source(data, path) -> LineSpectrum:
     return total
 
 
-def load_config(path) -> AnalysisConfig:
-    """Read and validate a config file; netlist paths resolve next to it."""
-    cfg_path = Path(path)
+def _read_json(path: Path, what: str):
+    """The parsed contents of a JSON file; ValueError naming it when unreadable."""
     try:
-        text = cfg_path.read_text(encoding="utf-8")
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ValueError(f"{cfg_path}: cannot read config: {exc}") from None
-    try:
-        data = json.loads(text)
+        raise ValueError(f"{path}: cannot read {what}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{cfg_path}: invalid JSON: {exc}") from None
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+
+
+def load_config(path) -> AnalysisConfig:
+    """Read and validate a config file; netlist paths resolve next to it.
+
+    Absent grids and grids given by count are resolved to arrays here.
+    """
+    cfg_path = Path(path)
+    data = _read_json(cfg_path, "config")
     if not isinstance(data, dict):
         raise ValueError(f"{cfg_path}: config must be a JSON object")
     if "netlist" not in data or not isinstance(data["netlist"], str):
         raise ValueError(f"{cfg_path}: 'netlist' must name a file")
     net_path = cfg_path.parent / data["netlist"]
-    try:
-        net_text = net_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"{net_path}: cannot read netlist: {exc}") from None
-    try:
-        net_data = json.loads(net_text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{net_path}: invalid JSON: {exc}") from None
-    netlist = Netlist.from_dict(net_data, where=str(net_path))
+    netlist = Netlist.from_dict(_read_json(net_path, "netlist"), where=str(net_path))
     if "source" not in data:
         raise ValueError(f"{cfg_path}: missing 'source'")
     source = _parse_source(data["source"], f"{cfg_path}: source")
-    t_values = t_count = s_values = s_count = None
-    if "t_grid" in data:
-        t_values, t_count = _parse_grid(data["t_grid"], f"{cfg_path}: t_grid")
-    if "s_grid" in data:
-        s_values, s_count = _parse_grid(
-            data["s_grid"], f"{cfg_path}: s_grid", nonnegative=True
-        )
+    t_grid = _parse_grid(data, "t_grid", cfg_path, functools.partial(default_t_grid, source))
+    s_grid = _parse_grid(
+        data, "s_grid", cfg_path, functools.partial(default_s_grid, source), nonnegative=True
+    )
     out_dir = data.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ValueError(f"{cfg_path}: out_dir must be a string")
@@ -193,10 +182,8 @@ def load_config(path) -> AnalysisConfig:
     return AnalysisConfig(
         netlist=netlist,
         source=source,
-        t_values=t_values,
-        t_count=t_count,
-        s_values=s_values,
-        s_count=s_count,
+        t_grid=t_grid,
+        s_grid=s_grid,
         out_dir=out_dir,
         formats=tuple(dict.fromkeys(formats)),
     )
@@ -248,13 +235,13 @@ def _scale_file_names(s_arr) -> list[str]:
     return list(names)
 
 
-def run_analyze(cfg: AnalysisConfig, out_dir) -> int:
+def run_analyze(cfg: AnalysisConfig) -> int:
     """Write instantaneous.csv, per-scale CSVs, summary.json, balance.json."""
     s_arr = cfg.scale_grid()
     scale_files = _scale_file_names(s_arr) if "csv" in cfg.formats else []
     sol = solve(cfg.netlist, cfg.source)
     t_arr = cfg.time_grid()
-    out = Path(out_dir)
+    out = Path(cfg.out_dir)
     # both output sets read it, and its terms at s = 0 are evaluated once
     sq = scaled(sol, t_arr, s_arr)
 
@@ -295,12 +282,12 @@ def run_analyze(cfg: AnalysisConfig, out_dir) -> int:
     return EXIT_OK
 
 
-def run_sweep_s(cfg: AnalysisConfig, out_dir) -> int:
+def run_sweep_s(cfg: AnalysisConfig) -> int:
     """Write sweep.csv: time-averaged reactive energy and power against s."""
     sol = solve(cfg.netlist, cfg.source)
     s_arr = cfg.scale_grid()
     mean_x, mean_q = scaled_time_means(sol, s_arr)
-    _write_csv(Path(out_dir) / "sweep.csv", ["s", "mean_X", "mean_Q"],
+    _write_csv(Path(cfg.out_dir) / "sweep.csv", ["s", "mean_X", "mean_Q"],
                [s_arr, mean_x, mean_q])
     return EXIT_OK
 
@@ -380,9 +367,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_outputs(cfg: AnalysisConfig, args) -> AnalysisConfig:
     formats = cfg.formats
-    if getattr(args, "format", None):
+    if args.format:
         formats = _FORMATS if args.format == "both" else (args.format,)
-    out_dir = getattr(args, "out", None) or cfg.out_dir or "pqbalance_out"
+    out_dir = args.out or cfg.out_dir or "pqbalance_out"
     return replace(cfg, out_dir=out_dir, formats=tuple(formats))
 
 
@@ -390,20 +377,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.command == "analyze":
-            cfg = _resolve_outputs(cfg, args)
-            return run_analyze(cfg, cfg.out_dir)
-        if args.command == "sweep-s":
-            cfg = _resolve_outputs(cfg, args)
-            return run_sweep_s(cfg, cfg.out_dir)
-        return run_verify(cfg, args.tol)
+        if args.command == "verify":
+            return run_verify(cfg, args.tol)
+        run = run_analyze if args.command == "analyze" else run_sweep_s
+        return run(_resolve_outputs(cfg, args))
     except (SingularNetworkError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

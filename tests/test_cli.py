@@ -81,6 +81,42 @@ def test_invalid_json_config(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_missing_netlist_file(tmp_path, capsys):
+    path = simple_setup(tmp_path)
+    (tmp_path / "net.json").unlink()
+    assert main(["analyze", "--config", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "cannot read netlist" in err and "net.json" in err
+
+
+def test_invalid_json_netlist(tmp_path, capsys):
+    path = simple_setup(tmp_path)
+    (tmp_path / "net.json").write_text("{not json", encoding="utf-8")
+    assert main(["analyze", "--config", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'net.json'}: invalid JSON" in err
+
+
+def test_load_config_resolves_the_grids_bit_for_bit(tmp_path):
+    source = {"lines": [{"amplitude_peak": 1.0, "omega": 1.5},
+                        {"amplitude_peak": 0.5, "omega": 4.5, "phase": 0.3}]}
+    spectrum = load_config(simple_setup(tmp_path, source=source)).source
+    t_values, s_values = [0.0, 0.3, 2.5], [0.0, 0.25, 1.0]
+    cases = [
+        ({}, power.default_t_grid(spectrum), power.default_s_grid(spectrum)),
+        ({"t_grid": {"n": 7}, "s_grid": {"n": 5}},
+         power.default_t_grid(spectrum, 7), power.default_s_grid(spectrum, 5)),
+        ({"t_grid": {"values": t_values}, "s_grid": {"values": s_values}},
+         np.array(t_values), np.array(s_values)),
+    ]
+    for extra, t_grid, s_grid in cases:
+        cfg = load_config(simple_setup(tmp_path, source=source, extra=extra))
+        assert cfg.t_grid.dtype == t_grid.dtype and cfg.s_grid.dtype == s_grid.dtype
+        assert cfg.t_grid.tobytes() == t_grid.tobytes(), extra
+        assert cfg.s_grid.tobytes() == s_grid.tobytes(), extra
+        assert cfg.time_grid() is cfg.t_grid and cfg.scale_grid() is cfg.s_grid
+
+
 def test_malformed_netlist_names_json_path(tmp_path, capsys):
     write_json(
         tmp_path / "net.json",

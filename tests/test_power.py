@@ -33,7 +33,7 @@ from pqbalance.power import (
 )
 from pqbalance.spectrum import AMPERE, JOULE, PRUNE_RTOL, VOLT, WATT, LineSpectrum
 
-from conftest import solved_case
+from conftest import random_netlist, random_source, solved_case
 
 ROOT2 = math.sqrt(2.0)
 
@@ -886,3 +886,41 @@ def test_power_layers_reuse_the_solved_lattice(rng, lattice_searches):
             real_imaginary_power(sol.source, sol.port_current)
             budeanu(sol)
             assert lattice_searches == [], allow_dc
+
+
+# ----------------------------------------------------------------------
+# known false verdicts, pinned until residuals and the Budeanu floor are
+# judged by what the solve can deliver (ROADMAP item 6)
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="ROADMAP item 6: the residual normaliser leaves out the w_m and w_e that cancel",
+)
+def test_near_resonant_lossless_net_passes_the_default_tolerance():
+    # a lossless series L-C across the port, one tone 1e-9 above resonance;
+    # the solve is accurate here (test_resonance_boundary), the verdict is not
+    l, c = 1e-3, 1e-6
+    net = Netlist(
+        (Branch("l", INDUCTOR, l, ("p", "n")), Branch("c", CAPACITOR, c, ("n", "0"))),
+        ("p", "0"),
+    )
+    source = LineSpectrum.tone((1.0 + 1e-9) / math.sqrt(l * c), 1.0, VOLT)
+    report = verify_balances(solve(net, source), default_t_grid(source), default_s_grid(source))
+    tol = 1e-9  # pqbalance verify's default --tol
+    assert report.instantaneous_relative <= tol
+    assert report.active_relative <= tol
+    assert report.reactive_relative <= tol
+
+
+@pytest.mark.xfail(
+    raises=ConsistencyError,
+    reason="ROADMAP item 6: Budeanu's 1e-12*S floor is below the solve's round-off",
+)
+def test_budeanu_accepts_the_seed_777_round_off_draws():
+    # the seed-777 protocol: random_netlist, then random_source with
+    # allow_dc=True, draws counted from 0 with the singular ones included
+    rng = np.random.default_rng(777)
+    draws = [(random_netlist(rng), random_source(rng, allow_dc=True)) for _ in range(1835)]
+    for k in (3, 1834):
+        budeanu(solve(*draws[k]))
