@@ -17,10 +17,12 @@ branch quantities and the self-checks: about 0.5 ms of CPU on a
 40-section R-L-C-R ladder (122 unknowns), most of it in LAPACK, against
 0.8 ms with fresh arrays per line.  The same solve carries two probe
 columns, which give a lower estimate of the condition number that gates
-near-singular lines.  Superposing the per-line phasors yields every
-branch voltage and current as an exact
-:class:`~pqbalance.spectrum.LineSpectrum`, each built from one row of the
-phasors stacked branches by lines.
+near-singular lines.  ``solve`` stacks the per-line phasors once, the
+branch voltages, branch currents and port current by lines, and keeps the
+stack, read-only, on the solution; ``power._LineAmplitudes`` is its one
+reader.  Every branch voltage and current is an exact
+:class:`~pqbalance.spectrum.LineSpectrum`, built from one row of a copy
+of that stack.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import cmath
 import math
 import random
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -207,6 +209,9 @@ class NetworkSolution:
 
     ``branch_voltage`` / ``branch_current`` map branch ids to exact line
     spectra; ``per_line`` holds the raw phasors, one entry per source line.
+    ``_phasors`` holds the same phasors stacked and read-only: the branch
+    voltages, then the branch currents, in branch order, then the port
+    current, each a row over the source's lines.
     """
 
     netlist: Netlist
@@ -215,6 +220,12 @@ class NetworkSolution:
     branch_voltage: dict[str, LineSpectrum]
     branch_current: dict[str, LineSpectrum]
     port_current: LineSpectrum
+    _phasors: np.ndarray = field(compare=False, repr=False)
+
+    def __setstate__(self, state):
+        """Restore a copied or unpickled solution with its stack read-only."""
+        self.__dict__.update(state)
+        self._phasors.setflags(write=False)
 
 
 class _Stamps:
@@ -406,27 +417,25 @@ def solve(net: Netlist, source: LineSpectrum) -> NetworkSolution:
         solve_frequency(net, omega, amplitude)
         for omega, amplitude in zip(source.omegas.tolist(), source.amplitudes.tolist())
     )
-    # The phasors stacked once, branches by lines.  Each spectrum holds its
-    # row of the stack and all of them the one frequency array, unless
-    # dropped lines make them copies.
-    ids = [b.id for b in net.branches]
-    omegas = np.array([ph.omega for ph in per_line], dtype=float)
-    volts = np.empty((len(ids), len(per_line)), dtype=complex)
-    amps = np.empty_like(volts)
-    for k, ph in enumerate(per_line):
-        volts[:, k] = list(ph.voltage.values())
-        amps[:, k] = list(ph.current.values())
+    # The phasors stacked once.  The spectra hold rows of one copy, since
+    # _on_lines and _store normalise their amplitudes in place.
+    n = len(net.branches)
+    stack = np.array([[*ph.voltage.values(), *ph.current.values(), ph.port_current]
+                      for ph in per_line], complex).reshape(-1, 2 * n + 1).T
+    stack.setflags(write=False)
+    rows, omegas, ids = stack.copy(), source.omegas, [b.id for b in net.branches]
 
-    def spectrum(phasors, unit):
-        return object.__new__(LineSpectrum)._on_lines(omegas, phasors, unit)
+    def spectrum(row, unit):
+        return object.__new__(LineSpectrum)._on_lines(omegas, row, unit)
 
     return NetworkSolution(
         netlist=net,
         source=source,
         per_line=per_line,
-        branch_voltage={bid: spectrum(row, VOLT) for bid, row in zip(ids, volts)},
-        branch_current={bid: spectrum(row, AMPERE) for bid, row in zip(ids, amps)},
-        port_current=spectrum(np.array([ph.port_current for ph in per_line], complex), AMPERE),
+        branch_voltage={bid: spectrum(row, VOLT) for bid, row in zip(ids, rows[:n])},
+        branch_current={bid: spectrum(row, AMPERE) for bid, row in zip(ids, rows[n:-1])},
+        port_current=spectrum(rows[-1], AMPERE),
+        _phasors=stack,
     )
 
 

@@ -63,24 +63,22 @@ _RULES = {RESISTOR: ("current", 0.5, 0.0), INDUCTOR: ("current", 0.25, 1.0),
 
 
 class _LineAmplitudes:
-    """Every per-line value of one solution; the one reader of ``per_line``.
+    """Every per-line value of one solution; the one reader of its phasor stack.
 
     Column k is the line at ``omegas[k]``.  ``port`` holds the rows U_k and
     I_k.  ``p`` and ``q`` hold 1/2 Re and 1/2 Im of U_k conj I_k, and
     ``u_rms`` and ``i_rms`` hold |U_k|/sqrt 2 and |I_k|/sqrt 2, but a DC
     line enters at full weight: p = U_0 I_0, q = 0, rms |U_0| and |I_0|.
-    Row b of ``branch``, built on first read, holds a_b by ``_RULES``; ``c``
+    Row b of ``branch`` holds a_b by ``_RULES``, copied from the stack; ``c``
     weights its |a_b|^2 (R/2, L/4, C/4), ``sigma`` signs it in X and
     ``store`` marks the L and C rows.  ``spectrum._analytic`` evaluates a
     row A as the analytic signal ``sum_k A_k e^{j w_k t} e^{-w_k s}``.
     """
 
     def __init__(self, sol: NetworkSolution):
-        self._per_line, self._branches = sol.per_line, sol.netlist.branches
-        self.omegas = np.array([ph.omega for ph in sol.per_line], dtype=float)
-        self.port = np.array(
-            [[ph.port_voltage, ph.port_current] for ph in sol.per_line], dtype=complex
-        ).reshape(-1, 2).T
+        branches, stack = sol.netlist.branches, sol._phasors
+        self.omegas = sol.source.omegas
+        self.port = np.stack((sol.source.amplitudes, stack[-1]))
         (ur, ir), (ui, ii) = self.port.real, self.port.imag
         dc = self.omegas == 0.0
         self.p = np.where(dc, ur * ir, 0.5 * (ur * ir + ui * ii))
@@ -88,16 +86,12 @@ class _LineAmplitudes:
         # hypot, as abs() of a Python complex; numpy's complex abs may differ in the last bit
         root2 = np.where(dc, 1.0, math.sqrt(2.0))
         self.u_rms, self.i_rms = np.hypot(self.port.real, self.port.imag) / root2
-        self.c = np.array([_RULES[b.kind][1] * b.value for b in self._branches], dtype=float)
-        self.sigma = np.array([_RULES[b.kind][2] for b in self._branches], dtype=float)
+        # the stack's voltage rows come first, then its current rows
+        first = {"voltage": 0, "current": len(branches)}
+        self.branch = stack[[first[_RULES[b.kind][0]] + k for k, b in enumerate(branches)]]
+        self.c = np.array([_RULES[b.kind][1] * b.value for b in branches], dtype=float)
+        self.sigma = np.array([_RULES[b.kind][2] for b in branches], dtype=float)
         self.store = self.sigma != 0.0
-
-    @cached_property
-    def branch(self) -> np.ndarray:
-        phasors = {name: [getattr(ph, name) for ph in self._per_line]
-                   for name in ("voltage", "current")}
-        rows = [[d[b.id] for d in phasors[_RULES[b.kind][0]]] for b in self._branches]
-        return np.array(rows, dtype=complex).reshape(len(rows), len(self.omegas))
 
     def analytic(self, t_arr, s_arr, phase):
         """Port rows (u, i), every a_b and every stored a'_b on the (t, s) grid.
@@ -113,6 +107,10 @@ class _LineAmplitudes:
     def reactive_energy(self) -> np.ndarray:
         """Time mean of W_m - W_e carried by each line at s = 0."""
         return (self.sigma * self.c) @ (np.abs(self.branch) ** 2)
+
+    def stored_energy_q(self) -> np.ndarray:
+        """Reactive power 2*omega*(W_m - W_e) of each line, from the branch rows."""
+        return 2.0 * self.omegas * self.reactive_energy()
 
 
 # ----------------------------------------------------------------------
@@ -412,11 +410,7 @@ def classical_summary(sol: NetworkSolution) -> ClassicalSummary:
     A DC line enters at full weight, which keeps p_mean equal to the time
     average of the instantaneous port power.
     """
-    return _classical_summary(sol, _LineAmplitudes(sol))
-
-
-def _classical_summary(sol: NetworkSolution, lines: _LineAmplitudes) -> ClassicalSummary:
-    """``classical_summary`` from the solution's line table."""
+    lines = _LineAmplitudes(sol)
     columns = (lines.omegas, lines.u_rms, lines.i_rms, lines.p, lines.q)
     entries = tuple(map(LinePower, *(col.tolist() for col in columns)))
     # running sums in line order; the builtin sum compensates on Python >= 3.12
@@ -439,15 +433,6 @@ def _classical_summary(sol: NetworkSolution, lines: _LineAmplitudes) -> Classica
     )
 
 
-def _stored_energy_q(sol: NetworkSolution, lines=None) -> np.ndarray:
-    """Reactive power 2*omega*(W_m - W_e) of each line, from the branch phasors.
-
-    ``lines`` is the solution's line table, when the caller holds one.
-    """
-    lines = _LineAmplitudes(sol) if lines is None else lines
-    return 2.0 * lines.omegas * lines.reactive_energy()
-
-
 def budeanu(sol: NetworkSolution) -> float:
     """Budeanu reactive total, computed twice and cross-checked.
 
@@ -460,10 +445,9 @@ def budeanu(sol: NetworkSolution) -> float:
     different data (port phasors versus branch interiors) and must agree
     to CROSS_CHECK_RTOL.
     """
-    lines = _LineAmplitudes(sol)
-    summary = _classical_summary(sol, lines)
+    summary = classical_summary(sol)
     q_port = summary.q_budeanu
-    q_interior = float(np.sum(_stored_energy_q(sol, lines)))
+    q_interior = float(np.sum(_LineAmplitudes(sol).stored_energy_q()))
     tol = CROSS_CHECK_RTOL * max(
         abs(q_port), abs(q_interior), _REACTIVE_FLOOR * summary.s_apparent
     )
@@ -489,7 +473,7 @@ def q_from_stored_energy(sol: NetworkSolution, omega) -> float:
     if not math.isclose(line, omega, rel_tol=COMMENSURATE_RTOL):
         raise ValueError(f"source line at {line!r} rad/s, not at {omega!r} rad/s")
     lines = _LineAmplitudes(sol)
-    q_energy = float(_stored_energy_q(sol, lines)[0])
+    q_energy = float(lines.stored_energy_q()[0])
     q_phasor, s_phasor = float(lines.q[0]), float(lines.u_rms[0] * lines.i_rms[0])
     if abs(q_energy - q_phasor) > 1e-10 * max(abs(q_phasor), s_phasor, 1e-300):
         raise ConsistencyError(

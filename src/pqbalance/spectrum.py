@@ -124,12 +124,15 @@ def _sum_by_key(keys, re, im):
 
 
 def _grid(t, s):
-    """``t`` and ``s`` as 1-d float arrays; every ``s`` must be finite and >= 0."""
-    s_arr = np.asarray(s, dtype=float).ravel()
+    """``t`` and ``s`` as 1-d float arrays; every ``t`` must be finite, every ``s`` >= 0 too."""
+    t_arr, s_arr = np.asarray(t, dtype=float).ravel(), np.asarray(s, dtype=float).ravel()
     bad = s_arr[~(np.isfinite(s_arr) & (s_arr >= 0.0))]
     if bad.size:
         raise ValueError(f"s must be finite and >= 0, got {float(bad[0])!r}")
-    return np.asarray(t, dtype=float).ravel(), s_arr
+    bad = t_arr[~np.isfinite(t_arr)]
+    if bad.size:
+        raise ValueError(f"t must be finite, got {float(bad[0])!r}")
+    return t_arr, s_arr
 
 
 def _phase(t, omegas):
@@ -214,6 +217,8 @@ class SampledSignal:
         return signal
 
     def _hold(self, samples, copy):
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
         samples = np.array(samples, dtype=float, copy=copy)
@@ -482,9 +487,9 @@ class LineSpectrum:
 
     def sample(self, t0, dt, n) -> SampledSignal:
         """Uniform samples at ``t0 + k*dt`` for ``k = 0 .. n-1``."""
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n!r}")
-        t = float(t0) + float(dt) * np.arange(int(n))
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {n!r}")
+        t = float(t0) + float(dt) * np.arange(n)
         return SampledSignal(float(t0), float(dt), self.evaluate(t))
 
     def mean(self) -> float:

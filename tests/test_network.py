@@ -1,6 +1,7 @@
 """Frequency-domain load solver: per-line phasors, validation, circuit laws."""
 
 import copy
+import dataclasses
 import math
 import pickle
 import sys
@@ -26,7 +27,7 @@ from pqbalance.network import (
 from pqbalance.oracle import _time_domain_matrices
 from pqbalance.spectrum import AMPERE, VOLT, LineSpectrum
 
-from conftest import random_netlist, random_source
+from conftest import random_netlist, random_source, solved_case
 
 ROOT2 = math.sqrt(2.0)
 
@@ -471,6 +472,72 @@ def test_solved_netlists_and_solutions_copy_and_pickle(duplicate):
     assert twin == net
     assert solution_bits(solve(twin, source)) == solution_bits(sol)
     assert solution_bits(solve(again.netlist, source)) == solution_bits(sol)
+
+
+def per_line_stack(sol):
+    """The phasors of ``per_line`` stacked as the solution documents its stack."""
+    ids = [b.id for b in sol.netlist.branches]
+    rows = [[ph.voltage[bid] for ph in sol.per_line] for bid in ids]
+    rows += [[ph.current[bid] for ph in sol.per_line] for bid in ids]
+    rows += [[ph.port_current for ph in sol.per_line]]
+    return np.array(rows, dtype=complex).reshape(len(rows), len(sol.per_line))
+
+
+def test_the_phasor_stack_is_per_line_bit_for_bit():
+    rng = np.random.default_rng(9090)
+    sols = [solved_case(rng, allow_dc=True) for _ in range(300)]
+    rlc = Netlist(
+        (
+            Branch("r1", RESISTOR, 2.0, ("p", "m")),
+            Branch("l1", INDUCTOR, 0.5, ("m", "0")),
+            Branch("c1", CAPACITOR, 0.25, ("p", "0")),
+        ),
+        ("p", "0"),
+    )
+    sols += [
+        solve(rlc, LineSpectrum.zero(VOLT)),
+        solve(rlc, LineSpectrum.dc(3.0, VOLT)),
+        solve(rlc, LineSpectrum.from_lines([(0.0, -1.0), (2.0, 5.0), (6.0, 1.0 - 2.0j)], VOLT)),
+        solve(ladder(3, rng), harmonics(rng, 5)),
+    ]
+    assert sum(0.0 in sol.source.omegas for sol in sols) >= 40
+    negative_zeros = 0
+    for k, sol in enumerate(sols):
+        stack, want = sol._phasors, per_line_stack(sol)
+        assert stack.dtype == want.dtype and stack.shape == want.shape, k
+        assert stack.tobytes() == want.tobytes(), k  # signed zeros included
+        parts = np.stack((stack.real, stack.imag))
+        negative_zeros += int(np.sum(np.signbit(parts) & (parts == 0.0)))
+    # the ensemble holds signed zeros for the comparison to keep
+    assert negative_zeros > 0
+    assert sols[300]._phasors.shape == (7, 0)
+
+
+def test_the_phasor_stack_is_read_only_and_shared_with_no_spectrum():
+    rng = np.random.default_rng(11)
+    sol = solve(ladder(4, rng), harmonics(rng, 6))
+    stack = sol._phasors
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        stack[0, 0] = 1.0
+    spectra = (*sol.branch_voltage.values(), *sol.branch_current.values(), sol.port_current)
+    assert not any(np.shares_memory(stack, spec._amps) for spec in spectra)
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))])
+def test_the_phasor_stack_survives_copy_and_pickle_outside_eq_and_repr(duplicate):
+    rng = np.random.default_rng(9)
+    net, source = ladder(6, rng), harmonics(rng, 8)
+    sol = solve(net, source)
+    again = duplicate(sol)
+    assert again == sol and again == solve(net, source)
+    assert again._phasors.tobytes() == sol._phasors.tobytes()
+    assert again._phasors is not sol._phasors and not again._phasors.flags.writeable
+    stack = next(f for f in dataclasses.fields(sol) if f.name == "_phasors")
+    assert not stack.compare and not stack.repr
+    assert "_phasors" not in repr(sol)
+    assert [f.name for f in dataclasses.fields(sol) if not f.name.startswith("_")] == [
+        "netlist", "source", "per_line", "branch_voltage", "branch_current", "port_current"]
 
 
 def _assert_spectra_are_from_lines(sol):

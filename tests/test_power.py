@@ -9,7 +9,8 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from pqbalance import cli, power
+import pqbalance
+from pqbalance import cli, network, oracle, power
 from pqbalance.network import Branch, CAPACITOR, INDUCTOR, Netlist, RESISTOR, solve
 from pqbalance.power import (
     ClassicalSummary,
@@ -535,6 +536,17 @@ def test_grid_entry_points_reject_a_bad_scale(entry, bad):
         GRID_ENTRY_POINTS[entry](sol, np.linspace(0.0, 1.0, 4), bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", ["analytic_grid", "scaled", "verify_balances"])
+def test_time_grid_entry_points_reject_a_non_finite_time(entry, bad):
+    # unchecked, a non-finite time gave NaN everywhere on its row
+    sol = solve(rlc_net(), LineSpectrum.from_lines([(0.0, 3.0), (2.0, 1.5 - 0.5j)], VOLT))
+    with pytest.raises(ValueError, match=r"t must be finite, got -?(nan|inf)"):
+        GRID_ENTRY_POINTS[entry](sol, np.array([0.0, bad, 1.0]), 0.25)
+    with pytest.raises(ValueError, match=r"t must be finite, got -?(nan|inf)"):
+        verify_balances(sol, [0.0, bad], [0.0])
+
+
 def test_grid_entry_points_flatten_the_grids(flicker_solution):
     sol = flicker_solution
     t2 = np.linspace(0.0, 5.0, 6).reshape(2, 3)
@@ -629,9 +641,9 @@ def test_budeanu_cross_check_catches_a_perturbed_route(rng, flicker_solution, mo
             sols.append(sol)
     for sol in sols:
         budeanu(sol)
-    stored = power._stored_energy_q
-    monkeypatch.setattr(power, "_stored_energy_q",
-                        lambda sol, lines=None: stored(sol, lines) * (1.0 + 1e-6))
+    stored = power._LineAmplitudes.stored_energy_q
+    monkeypatch.setattr(power._LineAmplitudes, "stored_energy_q",
+                        lambda lines: stored(lines) * (1.0 + 1e-6))
     for sol in sols:
         with pytest.raises(ConsistencyError, match="Budeanu routes disagree"):
             budeanu(sol)
@@ -687,7 +699,7 @@ def test_q_routes_cross_check_on_random_single_tones(rng):
 
 
 # ----------------------------------------------------------------------
-# the per-line table: one reader of per_line, one statement of the rules
+# the per-line table: one reader of the phasor stack, one statement of the rules
 
 
 def parent_line_formulas(sol):
@@ -784,7 +796,7 @@ def test_per_line_table_matches_the_parent_formulas_bit_for_bit():
         assert got.to_dict() == doc
         assert json.dumps(got.to_dict(), indent=2) == json.dumps(doc, indent=2), k
         assert same_bits(budeanu(sol), want.q_budeanu), k
-        assert same_bits(power._stored_energy_q(sol), q_stored), k
+        assert same_bits(power._LineAmplitudes(sol).stored_energy_q(), q_stored), k
         omegas = sol.source.omegas
         if omegas.size == 1 and omegas[0] > 0.0:
             single += 1
@@ -815,28 +827,19 @@ def test_mean_q_stays_within_rounding_of_the_complex_product(rng):
                       <= (2 + u.size) * eps * (half @ decay))
 
 
-def test_classical_summary_builds_no_branch_rows(rng, monkeypatch):
-    def refuse(self):
-        raise AssertionError("branch rows built")
-
-    monkeypatch.setattr(power._LineAmplitudes, "branch", property(refuse))
-    for _ in range(20):
-        sol = solved_case(rng, allow_dc=True)
-        classical_summary(sol)
-    with pytest.raises(AssertionError, match="branch rows built"):
-        power._stored_energy_q(sol)
-
-
 def test_budeanu_routes_read_one_table(line_tables):
     sol = solve(rlc_net(), LineSpectrum.tone(1.5, 2.0 - 1.0j, VOLT))
     budeanu(sol)
-    assert line_tables == [sol]
+    assert line_tables == [sol, sol]  # classical_summary's and the stored-energy route's
     line_tables.clear()
     q_from_stored_energy(sol, 1.5)
     assert line_tables == [sol]
 
 
-def test_per_line_phasors_have_one_reader():
+def test_the_phasor_stack_has_one_reader():
+    """power.py reads no ``per_line``, and of the package only
+    ``power._LineAmplitudes`` reads the solution's stack, which
+    ``NetworkSolution`` only restores on copy."""
     def named(tree):
         names = set()
         for node in ast.walk(tree):
@@ -848,14 +851,27 @@ def test_per_line_phasors_have_one_reader():
                 names.add(node.name)
         return names
 
-    tree = ast.parse(inspect.getsource(power))
-    table = next(node for node in tree.body
-                 if isinstance(node, ast.ClassDef) and node.name == "_LineAmplitudes")
-    inside = {id(node) for node in ast.walk(table)}
-    reads = [node for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr == "per_line"]
-    assert reads and all(id(node) in inside for node in reads)
-    assert "real_imaginary_power" not in named(ast.parse(inspect.getsource(cli)))
+    def reads(tree, attr):
+        # an attribute, or a string as getattr would take it
+        return [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == attr
+                or isinstance(node, ast.Constant) and node.value == attr]
+
+    def inside(tree, name):
+        cls = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == name)
+        return {id(node) for node in ast.walk(cls)}
+
+    trees = {mod: ast.parse(inspect.getsource(mod))
+             for mod in (pqbalance, cli, network, oracle, power, pqbalance.spectrum)}
+    assert reads(trees[power], "per_line") == []
+    owners = {power: "_LineAmplitudes", network: "NetworkSolution"}
+    table = inside(trees[power], "_LineAmplitudes")
+    assert any(id(node) in table for node in reads(trees[power], "_phasors"))
+    for mod, tree in trees.items():
+        allowed = inside(tree, owners[mod]) if mod in owners else set()
+        assert all(id(node) in allowed for node in reads(tree, "_phasors")), mod.__name__
+    assert "real_imaginary_power" not in named(trees[cli])
 
 
 # ----------------------------------------------------------------------

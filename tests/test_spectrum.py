@@ -122,6 +122,15 @@ def test_sampled_signal_validation():
         SampledSignal(0.0, 0.5, [1.0, math.nan])
 
 
+@pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+def test_sampled_signal_rejects_a_non_finite_start(t0):
+    # unchecked, every entry of ``times`` was the bad start
+    with pytest.raises(ValueError, match=r"t0 must be finite, got -?(nan|inf)"):
+        SampledSignal(t0, 1.0, [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"t0 must be finite, got -?(nan|inf)"):
+        SampledSignal._taking(t0, 1.0, np.array([1.0, 2.0]))
+
+
 def test_sampled_signal_copies_a_callers_array():
     a = np.array([1.0, 2.0, 3.0])
     sig = SampledSignal(0, 1, a)
@@ -198,6 +207,19 @@ def test_sample_pure_tone():
 def test_sample_dc():
     sig = LineSpectrum.dc(5.0).sample(-1.0, 0.3, 7)
     assert np.all(sig.samples == 5.0)
+
+
+@pytest.mark.parametrize("n", [3.7, 3.0, np.float64(4.0), True, "3", None, 0, -2, np.int64(0)])
+def test_sample_rejects_a_count_that_is_not_a_positive_integer(n):
+    # 3.7 used to give 3 samples, and True one
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        LineSpectrum.tone(1.0).sample(0.0, 0.1, n)
+
+
+def test_sample_takes_a_numpy_integer_count():
+    tone = LineSpectrum.tone(1.0)
+    sig = tone.sample(0.0, 0.1, np.int64(4))
+    assert len(sig) == 4 and sig.samples.tolist() == tone.sample(0.0, 0.1, 4).samples.tolist()
 
 
 # ----------------------------------------------------------------------
