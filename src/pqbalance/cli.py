@@ -353,11 +353,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON config file")
     for p in (analyze, sweep):
         p.add_argument("--out", help="output directory (overrides config out_dir)")
-        p.add_argument(
-            "--format",
-            choices=["csv", "json", "both"],
-            help="restrict outputs (overrides config formats)",
-        )
+    analyze.add_argument(
+        "--format",
+        choices=["csv", "json", "both"],
+        help="restrict outputs (overrides config formats)",
+    )
     verify.add_argument(
         "--tol", type=_tolerance, default=1e-9,
         help="relative residual tolerance (default 1e-9)",
@@ -367,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_outputs(cfg: AnalysisConfig, args) -> AnalysisConfig:
     formats = cfg.formats
-    if args.format:
+    if args.command == "analyze" and args.format:
         formats = _FORMATS if args.format == "both" else (args.format,)
     out_dir = args.out or cfg.out_dir or "pqbalance_out"
     return replace(cfg, out_dir=out_dir, formats=tuple(formats))

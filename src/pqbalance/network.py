@@ -104,23 +104,12 @@ class Netlist:
         ids = [b.id for b in branches]
         if len(set(ids)) != len(ids):
             raise ValueError("branch ids must be unique")
-        adjacency: dict[str, set[str]] = {plus: {ground}, ground: {plus}}
-        for b in branches:
-            a, c = b.nodes
-            adjacency.setdefault(a, set()).add(c)
-            adjacency.setdefault(c, set()).add(a)
-        seen = {ground}
-        stack = [ground]
-        while stack:
-            for nxt in adjacency[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if seen != set(adjacency):
-            floating = sorted(set(adjacency) - seen)
-            raise ValueError(f"netlist is not connected; unreachable nodes: {floating}")
         object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "port", (plus, ground))
+        # the source joins the port nodes, so the walk starts from both
+        floating = sorted(set(self.nodes) - self._reachable({plus, ground}))
+        if floating:
+            raise ValueError(f"netlist is not connected; unreachable nodes: {floating}")
 
     @property
     def nodes(self) -> list[str]:
@@ -129,6 +118,23 @@ class Netlist:
 
     def by_kind(self, kind) -> list[Branch]:
         return [b for b in self.branches if b.kind == kind]
+
+    def _reachable(self, starts, kinds=KINDS) -> set[str]:
+        """The nodes joined to ``starts`` by paths of branches of the given kinds."""
+        adjacency: dict[str, list[str]] = {}
+        for b in self.branches:
+            if b.kind in kinds:
+                a, c = b.nodes
+                adjacency.setdefault(a, []).append(c)
+                adjacency.setdefault(c, []).append(a)
+        seen = set(starts)
+        stack = list(seen)
+        while stack:
+            for nxt in adjacency.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
 
     @cached_property
     def _stamps(self) -> _Stamps:

@@ -8,7 +8,11 @@ rotation, direct numerical integration of the complex-time kernel
 instead of its closed form, and plain sample averaging instead of exact
 DC extraction.  The assembly of the time-domain equations is written
 out here from scratch on purpose; it shares no code with the
-frequency-domain solver it is meant to check.
+frequency-domain solver it is meant to check.  Each implicit-step matrix
+is inverted once, and the inverse is kept as a plain matrix: the step
+operators are its products with the capacitance stamps, and the drive is
+its source column.  Whether inductors alone bridge the port is a walk
+over the inductor branches, the netlist's own graph walk.
 """
 
 from __future__ import annotations
@@ -124,16 +128,7 @@ def _time_domain_matrices(net: Netlist):
     for b in net.branches:
         ia = node_at.get(b.nodes[0])
         ib = node_at.get(b.nodes[1])
-        if b.kind == RESISTOR:
-            y = 1.0 / b.value
-            for i, j, sgn in ((ia, ia, 1.0), (ib, ib, 1.0), (ia, ib, -1.0), (ib, ia, -1.0)):
-                if i is not None and j is not None:
-                    g[i, j] += sgn * y
-        elif b.kind == CAPACITOR:
-            for i, j, sgn in ((ia, ia, 1.0), (ib, ib, 1.0), (ia, ib, -1.0), (ib, ia, -1.0)):
-                if i is not None and j is not None:
-                    c[i, j] += sgn * b.value
-        else:
+        if b.kind == INDUCTOR:
             k = ind_at[b.id]
             if ia is not None:
                 g[ia, k] += 1.0
@@ -142,6 +137,11 @@ def _time_domain_matrices(net: Netlist):
                 g[ib, k] -= 1.0
                 g[k, ib] -= 1.0
             c[k, k] -= b.value
+            continue
+        mat, y = (g, 1.0 / b.value) if b.kind == RESISTOR else (c, b.value)
+        for i, j, sgn in ((ia, ia, 1.0), (ib, ib, 1.0), (ia, ib, -1.0), (ib, ia, -1.0)):
+            if i is not None and j is not None:
+                mat[i, j] += sgn * y
     g[node_at[plus], src] -= 1.0
     g[src, node_at[plus]] += 1.0
     return g, c, node_at, ind_at, src
@@ -154,23 +154,11 @@ def _inductor_bridge(net: Netlist) -> bool:
     so whatever constant current the start-up transient deposits in it
     circulates forever and shows up as a port-current offset.
     """
-    parent: dict[str, str] = {}
-
-    def find(node):
-        while parent.setdefault(node, node) != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    for b in net.by_kind(INDUCTOR):
-        ra, rb = find(b.nodes[0]), find(b.nodes[1])
-        if ra != rb:
-            parent[ra] = rb
-    return find(net.port[0]) == find(net.port[1])
+    return net.port[1] in net._reachable({net.port[0]}, (INDUCTOR,))
 
 
 def _factored(mat, rate):
-    """Inverse-based solver for an implicit-step matrix, with a hard singularity gate.
+    """Inverse of an implicit-step matrix, with a hard singularity gate.
 
     The step matrix mixes conductance stamps with capacitance stamps
     carrying a 1/dt factor, so raw rows can sit many orders of magnitude
@@ -178,8 +166,7 @@ def _factored(mat, rate):
     Each row is scaled to unit max first, and the scaled matrix S is
     inverted once; kappa_1(S) = ||S||_1 ||S^-1||_1 then flags genuine
     singularity only.  An all-zero row or an exactly zero pivot is
-    singular outright.  Returns a function mapping a right-hand side (1-d
-    or 2-d) to the solution.
+    singular outright.
     """
     row_scale = np.max(np.abs(mat), axis=1)
     if row_scale.min() <= 0.0:
@@ -194,11 +181,7 @@ def _factored(mat, rate):
         raise SingularNetworkError(rate, "implicit step matrix is singular")
     # mat^-1 = S^-1 D^-1 for the row scaling D
     inverse /= row_scale
-
-    def solve_with(rhs):
-        return inverse @ rhs
-
-    return solve_with
+    return inverse
 
 
 def _flushed(a, dtype=float):
@@ -385,14 +368,11 @@ def _integrate(net, source, periods, steps_per_period, steady):
     g, c, node_at, ind_at, src = _time_domain_matrices(net)
     size = g.shape[0]
 
-    rhs_vec = np.zeros(size)
-    rhs_vec[src] = 1.0
+    # the source drives row src alone, so a step's drive is column src of its inverse
     main = _factored(g + (1.5 / dt) * c, 1.5 / dt)
-    two_back = main((2.0 / dt) * c)
-    one_back = main((-0.5 / dt) * c)
-    drive = main(rhs_vec)
-    step = np.block([[two_back, one_back], [np.eye(size), np.zeros((size, size))]])
-    advance, powers = _block_stepper(step, np.concatenate([drive, np.zeros(size)]), src)
+    step = np.block([[main @ ((2.0 / dt) * c), main @ ((-0.5 / dt) * c)],
+                     [np.eye(size), np.zeros((size, size))]])
+    advance, powers = _block_stepper(step, np.concatenate([main[:, src], np.zeros(size)]), src)
     # u[j] drives step p*spp + 1 + j of every period p: the one sampled
     # period, rolled by a step
     u = np.roll(_uniform_samples(source, 0.0, dt, spp), -1)
@@ -415,7 +395,7 @@ def _integrate(net, source, periods, steps_per_period, steady):
     start = _factored(g + c / dt, 1.0 / dt)
     n_steps = periods * spp
     port = np.empty(n_steps + 1)
-    x = start(rhs_vec) * u[0]
+    x = start[:, src] * u[0]
     port[:2] = 0.0, x[src]
     z = advance(np.concatenate([x, np.zeros(size)]), u[1:spp], port[2:spp + 1])
     for p in range(1, periods, group):

@@ -237,6 +237,12 @@ class ScaledQuantities:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    def __setstate__(self, state):
+        """Restore copied or unpickled quantities with their grids read-only."""
+        self.__dict__.update(state)
+        self.t.setflags(write=False)
+        self.s.setflags(write=False)
+
     @cached_property
     def _instant(self) -> dict:
         """p, p_d, w_m, w_e, w, x, dw/dt, P_t and Q_t on ``t``, from one kernel call at s = 0.

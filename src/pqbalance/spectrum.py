@@ -192,6 +192,14 @@ class ComplexTimePoint:
             raise ValueError(f"s must be finite and >= 0, got {self.s!r}")
 
 
+def _check_window(t0, dt):
+    """A sample window's start must be finite and its step finite and > 0."""
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0!r}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class SampledSignal:
     """A uniformly sampled real signal: values at ``t0 + k*dt``."""
@@ -217,10 +225,7 @@ class SampledSignal:
         return signal
 
     def _hold(self, samples, copy):
-        if not math.isfinite(self.t0):
-            raise ValueError(f"t0 must be finite, got {self.t0!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
+        _check_window(self.t0, self.dt)
         samples = np.array(samples, dtype=float, copy=copy)
         if samples.ndim != 1 or samples.size < 1:
             raise ValueError("samples must be a non-empty 1-d array")
@@ -228,6 +233,11 @@ class SampledSignal:
             raise ValueError("samples must be finite")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
+
+    def __setstate__(self, state):
+        """Restore a copied or unpickled signal with its samples read-only."""
+        self.__dict__.update(state)
+        self.samples.setflags(write=False)
 
     def __len__(self):
         return self.samples.size
@@ -459,22 +469,23 @@ class LineSpectrum:
     # evaluation
 
     def evaluate(self, t):
-        """Signal value(s) at time ``t`` (scalar or array), always real."""
+        """Signal value(s) at time ``t`` (scalar or array, every entry finite), always real."""
+        t = np.asarray(t, dtype=float)
+        _grid(t, ())
         dc, a0 = self._split()
-        out = (a0 + _analytic(self._omegas[dc:], self._amps[dc:],
-                              np.asarray(t, dtype=float), 0.0)).real
+        out = (a0 + _analytic(self._omegas[dc:], self._amps[dc:], t, 0.0)).real
         return float(out) if out.ndim == 0 else out
 
     def analytic_at(self, t, s=0.0):
-        """Analytic signal at complex time t + j*s (``s`` finite and >= 0).
+        """Analytic signal at complex time t + j*s (``t`` finite, ``s`` finite and >= 0).
 
         Equals ``A0 + sum_k A_k e^{j w_k t} e^{-w_k s}``; at s=0 the real part
         recovers the signal and the imaginary part its quadrature component.
         """
-        _grid((), s)
+        t = np.asarray(t, dtype=float)
+        _grid(t, s)
         dc, a0 = self._split()
-        out = a0 + _analytic(self._omegas[dc:], self._amps[dc:],
-                             np.asarray(t, dtype=float), s)
+        out = a0 + _analytic(self._omegas[dc:], self._amps[dc:], t, s)
         return complex(out) if out.ndim == 0 else out
 
     def analytic_grid(self, t_grid, s_grid) -> np.ndarray:
@@ -489,8 +500,9 @@ class LineSpectrum:
         """Uniform samples at ``t0 + k*dt`` for ``k = 0 .. n-1``."""
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"n must be an integer >= 1, got {n!r}")
-        t = float(t0) + float(dt) * np.arange(n)
-        return SampledSignal(float(t0), float(dt), self.evaluate(t))
+        t0, dt = float(t0), float(dt)
+        _check_window(t0, dt)
+        return SampledSignal(t0, dt, self.evaluate(t0 + dt * np.arange(n)))
 
     def mean(self) -> float:
         """Exact periodic mean: the DC amplitude."""

@@ -491,6 +491,29 @@ def test_the_parser_serves_again_after_an_argument_error(bench_dir, capsys):
     assert (out / "instantaneous.csv").is_file() and not (out / "summary.json").exists()
 
 
+def test_each_subcommand_takes_its_own_options():
+    # an option added to or dropped from a subcommand shows up here
+    commands = next(a for a in cli._build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    options = {name: {opt for action in sub._actions for opt in action.option_strings
+                      if opt not in ("-h", "--help")}
+               for name, sub in commands.items()}
+    assert options == {"analyze": {"--config", "--out", "--format"},
+                       "sweep-s": {"--config", "--out"},
+                       "verify": {"--config", "--tol"}}
+
+
+def test_sweep_takes_no_format(bench_dir, capsys):
+    # it used to be accepted and ignored, and sweep.csv written all the same
+    out = bench_dir / "s"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-s", "--config", str(bench_dir / "flicker_config.json"),
+              "--out", str(out), "--format", "json"])
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # sweep-s
 

@@ -113,6 +113,16 @@ def test_disconnected_netlist_rejected():
         )
 
 
+def test_connectivity_walk_starts_from_both_port_nodes():
+    # the source alone joins a port node that no branch touches
+    for nodes in (("p", "m"), ("m", "0")):
+        assert Netlist((Branch("r", RESISTOR, 1.0, nodes),), ("p", "0")).nodes == sorted(
+            {"p", "m", "0"})
+    with pytest.raises(ValueError, match=r"not connected; unreachable nodes: \['x', 'y'\]$"):
+        Netlist((Branch("r1", RESISTOR, 1.0, ("p", "0")), Branch("r2", RESISTOR, 1.0, ("y", "x"))),
+                ("p", "0"))
+
+
 def test_port_edge_counts_for_connectivity():
     # nothing between p and 0 except the source itself; still a valid graph
     net = Netlist(

@@ -128,6 +128,52 @@ def test_transient_warnings_name_the_caller(net, message, integrate):
     assert all(w.filename == __file__ for w in caught if w.category is TransientWarning)
 
 
+def union_find_bridge(net):
+    """Reference: do inductor branches alone join the port nodes?  By union-find."""
+    parent = {}
+
+    def find(node):
+        while parent.setdefault(node, node) != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for b in net.by_kind(INDUCTOR):
+        ra, rb = find(b.nodes[0]), find(b.nodes[1])
+        if ra != rb:
+            parent[ra] = rb
+    return find(net.port[0]) == find(net.port[1])
+
+
+def test_inductor_bridge_matches_union_find_on_random_nets():
+    rng = np.random.default_rng(57721566)
+    seen = {True: 0, False: 0}
+    for k in range(600):
+        net = random_netlist(rng, max_branches=12)
+        if k % 2:
+            # mostly inductors, so that inductor-only paths across the port are common
+            net = Netlist(tuple(Branch(b.id, INDUCTOR if rng.random() < 0.7 else b.kind,
+                                       b.value, b.nodes) for b in net.branches), net.port)
+        want = union_find_bridge(net)
+        assert oracle._inductor_bridge(net) is want
+        seen[want] += 1
+    assert min(seen.values()) > 100
+
+
+def test_inductor_bridge_needs_a_path_of_inductors_alone():
+    def net(*branches):
+        return Netlist(tuple(Branch(f"b{k}", kind, 1.0, nodes)
+                             for k, (kind, nodes) in enumerate(branches)), ("p", "0"))
+
+    # through an internal node, and in either orientation
+    assert oracle._inductor_bridge(net((INDUCTOR, ("p", "m")), (INDUCTOR, ("0", "m"))))
+    # a resistor or capacitor in the path breaks it, and a loop off the path adds nothing
+    for kind in (RESISTOR, CAPACITOR):
+        assert not oracle._inductor_bridge(
+            net((INDUCTOR, ("p", "m")), (kind, ("m", "0")), (INDUCTOR, ("m", "n")),
+                (INDUCTOR, ("n", "m"))))
+
+
 def test_underdamped_mode_settles_in_ten_periods():
     # time constant L/R = 1e6 s: a transient from rest would need millions
     # of periods, the fixed point of the period map none; at 256 steps per
@@ -304,10 +350,10 @@ def loop_transient(net, source, periods, steps_per_period, literal=False):
     rhs_vec[src] = 1.0
     start = _factored(g + c / dt, 1.0 / dt)
     main = _factored(g + (1.5 / dt) * c, 1.5 / dt)
-    start_drive = start(rhs_vec)
-    two_back = main((2.0 / dt) * c)
-    one_back = main((-0.5 / dt) * c)
-    drive = main(rhs_vec)
+    start_drive = start @ rhs_vec
+    two_back = main @ ((2.0 / dt) * c)
+    one_back = main @ ((-0.5 / dt) * c)
+    drive = main @ rhs_vec
 
     n_steps = periods * steps_per_period
     if literal:
@@ -417,7 +463,7 @@ def test_factored_rejects_singular_step_matrices():
 def test_factored_scales_rows_before_judging():
     # rows twenty-four decades apart, but a well-conditioned system
     mat = np.array([[1e12, 2e12], [3e-12, -1e-12]])
-    x = _factored(mat, 1.0)(np.array([5e12, 1e-12]))
+    x = _factored(mat, 1.0) @ np.array([5e12, 1e-12])
     np.testing.assert_allclose(x, [1.0, 2.0], rtol=1e-15)
 
 
@@ -431,7 +477,7 @@ def test_factored_accepts_the_acceptance_nets():
         g, c, _, _, _ = _time_domain_matrices(net)
         eye = np.eye(g.shape[0])
         for mat in (g + c / dt, g + (1.5 / dt) * c):
-            x = _factored(mat, 1.0 / dt)(eye)
+            x = _factored(mat, 1.0 / dt) @ eye
             scale = (np.abs(mat) @ np.abs(x)).max(axis=0)
             assert np.all(np.abs(mat @ x - eye).max(axis=0) <= 1e-13 * scale)
 
@@ -464,9 +510,9 @@ def test_block_stepper_forms_each_tail_power_once(monkeypatch):
     size = g.shape[0]
     rhs = np.zeros(size)
     rhs[src] = 1.0
-    step = np.block([[main((2.0 / dt) * c), main((-0.5 / dt) * c)],
+    step = np.block([[main @ ((2.0 / dt) * c), main @ ((-0.5 / dt) * c)],
                      [np.eye(size), np.zeros((size, size))]])
-    drive = np.concatenate([main(rhs), np.zeros(size)])
+    drive = np.concatenate([main @ rhs, np.zeros(size)])
     u = np.cos(dt * np.arange(3 * oracle._BLOCK + 7))
     fresh, _ = oracle._block_stepper(step, drive, src)
     want = [stepped(fresh, np.zeros(2 * size), u), stepped(fresh, np.ones(2 * size), u[:7])]
@@ -509,9 +555,9 @@ def test_block_stepper_takes_a_call_of_any_length():
     size = g.shape[0]
     rhs = np.zeros(size)
     rhs[src] = 1.0
-    step = np.block([[main((2.0 / dt) * c), main((-0.5 / dt) * c)],
+    step = np.block([[main @ ((2.0 / dt) * c), main @ ((-0.5 / dt) * c)],
                      [np.eye(size), np.zeros((size, size))]])
-    drive = np.concatenate([main(rhs), np.zeros(size)])
+    drive = np.concatenate([main @ rhs, np.zeros(size)])
     u = LineSpectrum.from_lines([(1.0, 2.0), (3.0, 0.5j)], VOLT).evaluate(
         dt * np.arange(3 * oracle._CHUNK + 5))
     z0 = np.zeros(2 * size)

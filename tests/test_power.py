@@ -1,9 +1,11 @@
 """Energy/power quantities and the three balance laws they must satisfy."""
 
 import ast
+import copy
 import inspect
 import json
 import math
+import pickle
 from dataclasses import astuple
 
 import numpy as np
@@ -253,6 +255,19 @@ def test_scaled_leaves_the_callers_grids_writable(flicker_solution):
     verify_balances(flicker_solution, t, s)
     assert t.flags.writeable and s.flags.writeable
     assert not sq.t.flags.writeable and not sq.s.flags.writeable
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+                         ids=["deepcopy", "pickle"])
+def test_scaled_copies_keep_their_grids_read_only(flicker_solution, duplicate):
+    sq = scaled(flicker_solution, np.linspace(0.0, 6.0, 8), [0.0, 0.5])
+    sq._instant  # a cached evaluation travels with the copy
+    twin = duplicate(sq)
+    for name in SCALED_FIELDS:
+        assert np.array_equal(getattr(twin, name), getattr(sq, name))
+    for name in ("t", "s"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(twin, name)[0] = 99.0
 
 
 # ----------------------------------------------------------------------
@@ -536,13 +551,24 @@ def test_grid_entry_points_reject_a_bad_scale(entry, bad):
         GRID_ENTRY_POINTS[entry](sol, np.linspace(0.0, 1.0, 4), bad)
 
 
+# every entry point that takes times, called on a time array and one scale value s
+TIME_ENTRY_POINTS = {
+    **GRID_ENTRY_POINTS,
+    "evaluate": lambda sol, t, s: sol.source.evaluate(t),
+    "instantaneous_balance": lambda sol, t, s: instantaneous_balance(instantaneous(sol), t),
+    # the window of sample starts at the bad time; its own message names t0
+    "sample": lambda sol, t, s: sol.source.sample(t[1], s, 3),
+}
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("entry", ["analytic_grid", "scaled", "verify_balances"])
+@pytest.mark.parametrize("entry", ["analytic_grid", "scaled", "verify_balances", "analytic_at",
+                                   "evaluate", "sample", "instantaneous_balance"])
 def test_time_grid_entry_points_reject_a_non_finite_time(entry, bad):
     # unchecked, a non-finite time gave NaN everywhere on its row
     sol = solve(rlc_net(), LineSpectrum.from_lines([(0.0, 3.0), (2.0, 1.5 - 0.5j)], VOLT))
-    with pytest.raises(ValueError, match=r"t must be finite, got -?(nan|inf)"):
-        GRID_ENTRY_POINTS[entry](sol, np.array([0.0, bad, 1.0]), 0.25)
+    with pytest.raises(ValueError, match=r"t0? must be finite, got -?(nan|inf)"):
+        TIME_ENTRY_POINTS[entry](sol, np.array([0.0, bad, 1.0]), 0.25)
     with pytest.raises(ValueError, match=r"t must be finite, got -?(nan|inf)"):
         verify_balances(sol, [0.0, bad], [0.0])
 

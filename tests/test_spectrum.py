@@ -152,6 +152,16 @@ def test_sampled_signal_can_take_over_a_fresh_array():
         SampledSignal._taking(0.0, 0.5, np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+                         ids=["deepcopy", "pickle"])
+def test_sampled_signal_copies_keep_their_samples_read_only(duplicate):
+    sig = SampledSignal(0.5, 0.25, [1.0, 2.0, 3.0])
+    twin = duplicate(sig)
+    assert (twin.t0, twin.dt, twin.samples.tolist()) == (0.5, 0.25, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="read-only"):
+        twin.samples[0] = 99.0
+
+
 def test_records_round_trip(flicker_source):
     records = flicker_source.to_records()
     assert records[0] == {"omega": 0.8, "re": 0.5 * ROOT2, "im": 0.0}
@@ -178,6 +188,25 @@ def test_evaluate_flicker_matches_closed_form(flicker_source):
     t = np.linspace(0.0, 10.0 * math.pi, 257)
     closed = 10.0 * ROOT2 * (1.0 + 0.1 * np.cos(0.2 * t)) * np.cos(t)
     assert np.max(np.abs(flicker_source.evaluate(t) - closed)) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evaluate_and_analytic_at_reject_a_non_finite_time(bad):
+    # unchecked, evaluate gave NaN at the bad time and analytic_at warned
+    tone = LineSpectrum.tone(1.0, 2.0)
+    for call in (tone.evaluate, tone.analytic_at, lambda t: tone.analytic_at(t, [0.0, 0.5])):
+        for t in (bad, [0.0, bad], np.array([[0.0], [bad]])):
+            with pytest.raises(ValueError, match=r"t must be finite, got -?(nan|inf)"):
+                call(t)
+
+
+def test_evaluate_and_analytic_at_keep_their_output_shapes():
+    tone = LineSpectrum.from_lines([(0.0, 1.0), (1.0, 2.0)])
+    t = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    assert type(tone.evaluate(0.0)) is float and tone.evaluate(t).shape == (2, 3)
+    assert type(tone.analytic_at(0.0)) is complex and tone.analytic_at(t).shape == (2, 3)
+    assert tone.analytic_at(t, [0.0, 0.5]).shape == (2, 3, 2)
+    assert tone.evaluate(t).tolist() == [[tone.evaluate(v) for v in row] for row in t.tolist()]
 
 
 def test_mean_and_rms():
@@ -214,6 +243,21 @@ def test_sample_rejects_a_count_that_is_not_a_positive_integer(n):
     # 3.7 used to give 3 samples, and True one
     with pytest.raises(ValueError, match="n must be an integer >= 1"):
         LineSpectrum.tone(1.0).sample(0.0, 0.1, n)
+
+
+@pytest.mark.parametrize("t0, dt, message", [
+    (math.inf, 1.0, r"t0 must be finite, got inf"),
+    (math.nan, 1.0, r"t0 must be finite, got nan"),
+    (0.0, math.inf, r"dt must be finite and > 0, got inf"),
+    (0.0, math.nan, r"dt must be finite and > 0, got nan"),
+    (0.0, -0.5, r"dt must be finite and > 0, got -0.5"),
+])
+def test_sample_rejects_a_bad_window_before_evaluating(monkeypatch, t0, dt, message):
+    # unchecked, sample(inf, 1.0, 2) raised numpy's RuntimeWarning from the kernel
+    tone = LineSpectrum.tone(1.0)
+    monkeypatch.setattr(spectrum, "_analytic", lambda *args: pytest.fail("evaluated"))
+    with pytest.raises(ValueError, match=message):
+        tone.sample(t0, dt, 2)
 
 
 def test_sample_takes_a_numpy_integer_count():
