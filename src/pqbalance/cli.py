@@ -26,8 +26,8 @@ from .network import Netlist, SingularNetworkError, solve
 from .power import (
     ConsistencyError,
     _balance_report,
+    _checked_summary,
     budeanu,
-    classical_summary,
     default_s_grid,
     default_t_grid,
     scaled,
@@ -267,8 +267,7 @@ def run_analyze(cfg: AnalysisConfig) -> int:
             )
 
     if "json" in cfg.formats:
-        summary = classical_summary(sol)
-        budeanu(sol)  # runs the two-route cross-check
+        summary = _checked_summary(sol)  # runs budeanu's two-route cross-check
         report = _balance_report(sol, sq)
         doc = summary.to_dict()
         doc["character"] = _character(summary.q_budeanu, summary.s_apparent)

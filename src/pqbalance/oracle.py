@@ -30,7 +30,10 @@ from .spectrum import VOLT, ComplexTimePoint, LineSpectrum, SampledSignal
 # response is one product with a Toeplitz matrix of this order.
 _BLOCK = 64
 # Samples per row of _uniform_samples: one complex exponential per line
-# and row start, and one per line and offset within a row.
+# and row start, and one per line and offset within a row.  The rows come
+# from one einsum contraction over the (line, re/im) pairs, summed in line
+# order; not a BLAS product, whose blocking by row count would make
+# sample k depend on the number of samples asked for.
 _ROW = 256
 # Steps per block-stepper call after period 0 of a transient, at most,
 # taken as whole periods (one period when it is longer); bounds the
@@ -93,21 +96,24 @@ def _uniform_samples(f: LineSpectrum, t0, h, n) -> np.ndarray:
     exponential per line and row a, and one per line and offset
     b < _ROW, instead of one per line and sample.  Each factor is formed
     directly from its own time, so no phase error accumulates along the
-    grid, and the products are summed line by line in real arithmetic.
+    grid.  Each line gives two real anchor rows over a, Re and -Im of
+    A e^{j omega (t0 + h*_ROW*a)}, and two rotor rows over b, cos and sin
+    of omega h b.  One einsum contraction over these interleaved
+    (line, re/im) pairs sums the products in line order, the re term of
+    a line before its im term.  It is not a BLAS product (anchor.T @
+    rotor), which blocks by row count, so sample k would depend on n.
     """
     omegas, amps = f.omegas, f.amplitudes
     rows = -(-n // _ROW)
     coarse = np.multiply.outer(omegas, t0 + (h * _ROW) * np.arange(rows))
     fine = np.multiply.outer(omegas, h * np.arange(_ROW))
     cos, sin = np.cos(coarse), np.sin(coarse)
-    anchor_re = amps.real[:, None] * cos - amps.imag[:, None] * sin
-    anchor_im = amps.real[:, None] * sin + amps.imag[:, None] * cos
-    fine_re, fine_im = np.cos(fine), np.sin(fine)
-    out = np.zeros((rows, _ROW))
-    for k in range(omegas.size):
-        out += np.multiply.outer(anchor_re[k], fine_re[k])
-        out -= np.multiply.outer(anchor_im[k], fine_im[k])
-    return out.ravel()[:n]
+    re, im = amps.real[:, None], amps.imag[:, None]
+    anchor = np.stack((re * cos - im * sin, -(re * sin + im * cos)), axis=1)
+    rotor = np.stack((np.cos(fine), np.sin(fine)), axis=1)
+    pairs = 2 * omegas.size
+    return np.einsum("ka,kb->ab", anchor.reshape(pairs, rows),
+                     rotor.reshape(pairs, _ROW)).ravel()[:n]
 
 
 # ----------------------------------------------------------------------

@@ -201,7 +201,7 @@ def real_imaginary_power(u: LineSpectrum, i: LineSpectrum):
 # time-scale layer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaledQuantities:
     """Energies and powers on a (t, s) grid; arrays have shape (len(t), len(s)).
 
@@ -225,10 +225,10 @@ class ScaledQuantities:
     p: np.ndarray
     q: np.ndarray
     p_dissipated: np.ndarray
-    _dw_dt: np.ndarray = field(repr=False, compare=False, default=None)
-    _dx_ds: np.ndarray = field(repr=False, compare=False, default=None)
-    _lines: _LineAmplitudes = field(repr=False, compare=False, default=None)
-    _phase: np.ndarray = field(repr=False, compare=False, default=None)
+    _dw_dt: np.ndarray = field(repr=False, default=None)
+    _dx_ds: np.ndarray = field(repr=False, default=None)
+    _lines: _LineAmplitudes = field(repr=False, default=None)
+    _phase: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         for name in ("t", "s"):
@@ -416,7 +416,11 @@ def classical_summary(sol: NetworkSolution) -> ClassicalSummary:
     A DC line enters at full weight, which keeps p_mean equal to the time
     average of the instantaneous port power.
     """
-    lines = _LineAmplitudes(sol)
+    return _classical_summary(sol, _LineAmplitudes(sol))
+
+
+def _classical_summary(sol: NetworkSolution, lines: _LineAmplitudes) -> ClassicalSummary:
+    """:func:`classical_summary` from the line table ``lines`` of ``sol``."""
     columns = (lines.omegas, lines.u_rms, lines.i_rms, lines.p, lines.q)
     entries = tuple(map(LinePower, *(col.tolist() for col in columns)))
     # running sums in line order; the builtin sum compensates on Python >= 3.12
@@ -451,9 +455,18 @@ def budeanu(sol: NetworkSolution) -> float:
     different data (port phasors versus branch interiors) and must agree
     to CROSS_CHECK_RTOL.
     """
-    summary = classical_summary(sol)
+    return _checked_summary(sol).q_budeanu
+
+
+def _checked_summary(sol: NetworkSolution) -> ClassicalSummary:
+    """:func:`classical_summary`, after :func:`budeanu`'s cross-check.
+
+    Both routes read one line table.
+    """
+    lines = _LineAmplitudes(sol)
+    summary = _classical_summary(sol, lines)
     q_port = summary.q_budeanu
-    q_interior = float(np.sum(_LineAmplitudes(sol).stored_energy_q()))
+    q_interior = float(np.sum(lines.stored_energy_q()))
     tol = CROSS_CHECK_RTOL * max(
         abs(q_port), abs(q_interior), _REACTIVE_FLOOR * summary.s_apparent
     )
@@ -462,7 +475,7 @@ def budeanu(sol: NetworkSolution) -> float:
             f"Budeanu routes disagree: port mean {q_port!r} vs "
             f"stored-energy route {q_interior!r}"
         )
-    return q_port
+    return summary
 
 
 def q_from_stored_energy(sol: NetworkSolution, omega) -> float:

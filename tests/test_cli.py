@@ -408,10 +408,10 @@ def test_a_thousand_line_ladder_balances(tmp_path):
 def test_analyze_and_verify_build_one_line_table_per_route(bench_dir, line_tables):
     cfg = str(bench_dir / "flicker_config.json")
     assert main(["analyze", "--config", cfg, "--out", str(bench_dir / "out")]) == EXIT_OK
-    assert len(line_tables) == 4  # scaled, classical_summary and budeanu's two routes
+    assert len(line_tables) == 2  # scaled, and the summary with budeanu's two routes
     line_tables.clear()
     assert main(["verify", "--config", cfg]) == EXIT_OK
-    assert len(line_tables) == 3  # scaled and budeanu's two routes
+    assert len(line_tables) == 2  # scaled, and budeanu's two routes
 
 
 def test_csv_uses_full_precision_and_lf(tmp_path):

@@ -263,6 +263,51 @@ def test_uniform_samples_do_not_depend_on_the_range():
             assert np.array_equal(_uniform_samples(source, t0, h, n), wide[:n])
 
 
+def loop_samples(f, t0, h, n):
+    """The sampler as one outer product per line and re/im part, summed in line order."""
+    row = oracle._ROW
+    omegas, amps = f.omegas, f.amplitudes
+    rows = -(-n // row)
+    coarse = np.multiply.outer(omegas, t0 + (h * row) * np.arange(rows))
+    fine = np.multiply.outer(omegas, h * np.arange(row))
+    cos, sin = np.cos(coarse), np.sin(coarse)
+    anchor_re = amps.real[:, None] * cos - amps.imag[:, None] * sin
+    anchor_im = amps.real[:, None] * sin + amps.imag[:, None] * cos
+    fine_re, fine_im = np.cos(fine), np.sin(fine)
+    out = np.zeros((rows, row))
+    for k in range(omegas.size):
+        out += np.multiply.outer(anchor_re[k], fine_re[k])
+        out -= np.multiply.outer(anchor_im[k], fine_im[k])
+    return out.ravel()[:n]
+
+
+def many_line_source(rng, count, dc):
+    base = 10.0 ** rng.uniform(-1.0, 1.0)
+    amps = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    pairs = [(k * base, a) for k, a in enumerate(amps, start=1)]
+    if dc:
+        pairs.insert(0, (0.0, rng.uniform(-5.0, 5.0)))
+    return LineSpectrum.from_lines(pairs, VOLT)
+
+
+def test_uniform_samples_match_the_line_by_line_loop():
+    # the contraction adds the same products in the loop's order; bit
+    # equality would hold only where einsum rounds like the loop (no fused
+    # multiply-add), so it is held to the rotation bound
+    rng = np.random.default_rng(16180339)
+    sources = [random_source(rng, allow_dc=dc) for dc in (False, True) for _ in range(10)]
+    sources += [many_line_source(rng, 64, dc) for dc in (False, True)]
+    sources.append(LineSpectrum.zero(VOLT))
+    for source in sources:
+        period = source.period if source.period is not None else 2.0 * math.pi
+        t0, h = rng.uniform(-25.0, 25.0) * period, period / 1000
+        for n in (0, 1, 255, 256, 257, 8193):
+            got, want = _uniform_samples(source, t0, h, n), loop_samples(source, t0, h, n)
+            assert got.shape == want.shape == (n,)
+            times = t0 + h * np.arange(n)
+            assert np.max(np.abs(got - want), initial=0.0) <= rotation_bound(source, times)
+
+
 def test_uniform_samples_edge_cases(flicker_source):
     dc = LineSpectrum.dc(-2.5, VOLT)
     assert np.array_equal(_uniform_samples(dc, 3.0, 0.1, 695), np.full(695, -2.5))

@@ -270,6 +270,15 @@ def test_scaled_copies_keep_their_grids_read_only(flicker_solution, duplicate):
             getattr(twin, name)[0] = 99.0
 
 
+def test_scaled_quantities_compare_by_identity(flicker_solution):
+    # array fields: a field-wise == would raise on the truth value of an array
+    a = scaled(flicker_solution, [0.0, 1.0], [0.0])
+    b = scaled(flicker_solution, [0.0, 1.0], [0.0])
+    assert (a == b) is False
+    assert a == a
+    assert hash(a) == hash(a) and hash(a) != hash(b)
+
+
 # ----------------------------------------------------------------------
 # balance laws on the scale axis
 
@@ -856,7 +865,7 @@ def test_mean_q_stays_within_rounding_of_the_complex_product(rng):
 def test_budeanu_routes_read_one_table(line_tables):
     sol = solve(rlc_net(), LineSpectrum.tone(1.5, 2.0 - 1.0j, VOLT))
     budeanu(sol)
-    assert line_tables == [sol, sol]  # classical_summary's and the stored-energy route's
+    assert line_tables == [sol]  # classical_summary's, which the stored-energy route reads too
     line_tables.clear()
     q_from_stored_energy(sol, 1.5)
     assert line_tables == [sol]
