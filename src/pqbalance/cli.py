@@ -98,9 +98,10 @@ def _parse_grid(config, key, path, default, nonnegative=False) -> np.ndarray:
     values = data["values"]
     if not isinstance(values, list) or not values:
         raise ValueError(f"{path}.values: expected a nonempty array")
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
     arr = np.array(
         [_require_number(v, f"{path}.values[{i}]") for i, v in enumerate(values)]
-    )
+    ) + 0.0
     if nonnegative and np.any(arr < 0.0):
         raise ValueError(f"{path}.values: scale values must be >= 0")
     return arr

@@ -4,7 +4,8 @@ Three layers of description are computed from one frequency-domain
 solution:
 
 * instantaneous (real time): port power, dissipation, and stored
-  energies, the s = 0 slice on a time grid or exact line spectra;
+  energies, the s = 0 slice on a time grid (``instantaneous`` also
+  builds them as exact product line spectra);
 * classical per-line phasors: active/reactive power per frequency with
   Budeanu totals and apparent power;
 * time-scale quantities on a (t, s) grid, where the scale s >= 0 damps
@@ -12,6 +13,8 @@ solution:
 
 All three read every per-line value from one table, ``_LineAmplitudes``,
 and the first and last evaluate its one stack of rows with one kernel.
+That kernel is the one route to the real and imaginary power at s = 0
+and to every balance law; no product spectrum enters them.
 
 The balances verified numerically are the instantaneous one,
 ``dw/dt = p - p_d``, the active one, ``dW/dt = P - P_d`` at every scale,
@@ -34,13 +37,7 @@ import numpy as np
 
 from . import spectrum
 from .network import CAPACITOR, INDUCTOR, RESISTOR, NetworkSolution
-from .spectrum import (
-    JOULE,
-    VAR,
-    WATT,
-    COMMENSURATE_RTOL,
-    LineSpectrum,
-)
+from .spectrum import JOULE, WATT, COMMENSURATE_RTOL, LineSpectrum
 
 # Two independent routes to the same number must agree this tightly.
 CROSS_CHECK_RTOL = 1e-8
@@ -173,28 +170,6 @@ def _worst(gap, *axes):
 
 def _peak(*arrays) -> float:
     return max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
-
-
-def instantaneous_balance(iset: InstantaneousSet, t_grid) -> float:
-    """Max over the grid of |dw/dt - (p - p_d)|, with dw/dt taken line-wise."""
-    t_arr = np.asarray(t_grid, dtype=float)
-    return _worst(_power_gap(iset.w_stored.derivative().evaluate(t_arr),
-                             iset.p.evaluate(t_arr), iset.p_dissipated.evaluate(t_arr)))[0]
-
-
-def real_imaginary_power(u: LineSpectrum, i: LineSpectrum):
-    """Real and imaginary power waveforms as exact line spectra.
-
-    The real power is ``(u i + u_h i_h)/2`` and the imaginary power is
-    ``(u_h i - u i_h)/2``, with the subscript h denoting the quadrature
-    (Hilbert) companion.  Their means give active power and the Budeanu
-    reactive total respectively.
-    """
-    u_h = u.hilbert()
-    i_h = i.hilbert()
-    p_real = (u.multiply(i, unit=WATT) + u_h.multiply(i_h, unit=WATT)).scale(0.5)
-    q_imag = (u_h.multiply(i, unit=WATT) - u.multiply(i_h, unit=WATT)).scale(0.5, unit=VAR)
-    return p_real, q_imag
 
 
 # ----------------------------------------------------------------------
@@ -337,16 +312,9 @@ def _check_step(h):
         raise ValueError(f"h must be finite and > 0, got {h!r}")
 
 
-def _central_difference(sq: ScaledQuantities, weights, forward, backward, s_arr, h):
-    """(F(+h) - F(-h)) / 2h for F = sum_b weights[b] |a_b|^2 over L and C.
-
-    A shift by +h or -h multiplies line k by ``forward[k]`` or ``backward[k]``.
-    """
-    lines = sq._lines
-    amps, weights = lines.branch[lines.store], weights[lines.store, None, None]
-    rows = np.concatenate((amps * forward, amps * backward))
-    a = spectrum._analytic(lines.omegas, rows, sq.t, s_arr, sq._phase)
-    fwd, bwd = a[:len(amps)], a[len(amps):]
+def _central_difference(weights, fwd, bwd, h):
+    """(F(+h) - F(-h)) / 2h for F = sum_b weights[b] |a_b|^2, from a_b shifted by +h and -h."""
+    weights = weights[:, None, None]
     return ((weights * np.abs(fwd) ** 2).sum(axis=0)
             - (weights * np.abs(bwd) ** 2).sum(axis=0)) / (2.0 * h)
 
@@ -354,12 +322,15 @@ def _central_difference(sq: ScaledQuantities, weights, forward, backward, s_arr,
 def d_dt_fd_gap(sq: ScaledQuantities, h) -> float:
     """Max gap between the exact t-derivative of W and a central difference.
 
-    The step ``h`` must be finite and > 0.
+    The step ``h`` must be finite and > 0.  A shift by +h or -h multiplies
+    line k by e^{+-j w_k h}.
     """
     _check_step(h)
     lines = sq._lines
-    shift = np.exp(1j * lines.omegas * h)
-    fd = _central_difference(sq, lines.c, shift, shift.conjugate(), sq.s, h)
+    amps, shift = lines.branch[lines.store], np.exp(1j * lines.omegas * h)
+    rows = np.concatenate((amps * shift, amps * shift.conjugate()))
+    a = spectrum._analytic(lines.omegas, rows, sq.t, sq.s, sq._phase)
+    fd = _central_difference(lines.c[lines.store], a[:len(amps)], a[len(amps):], h)
     return _worst(np.abs(fd - sq._dw_dt))[0]
 
 
@@ -367,15 +338,18 @@ def d_ds_fd_gap(sq: ScaledQuantities, h) -> float:
     """Max gap between the exact s-derivative of X and a central difference.
 
     The step ``h`` must be finite and > 0.  Only scale points with s >= h
-    enter, so the difference stays inside the s >= 0 domain.
+    enter, so the difference stays inside the s >= 0 domain.  One kernel
+    call evaluates the stored rows at s + h and s - h, so no damping
+    factor e^{-w_k (s +- h)} exceeds 1.
     """
     _check_step(h)
     lines = sq._lines
     keep = sq.s >= h
-    fd = _central_difference(
-        sq, lines.sigma * lines.c, np.exp(-lines.omegas * h),
-        np.exp(lines.omegas * h), sq.s[keep], h,
-    )
+    s_keep = sq.s[keep]
+    shifted = np.concatenate((s_keep + h, s_keep - h))
+    a = spectrum._analytic(lines.omegas, lines.branch[lines.store], sq.t, shifted, sq._phase)
+    fd = _central_difference((lines.sigma * lines.c)[lines.store],
+                             a[..., :s_keep.size], a[..., s_keep.size:], h)
     return _worst(np.abs(fd - sq._dx_ds[:, keep]))[0]
 
 
@@ -602,7 +576,7 @@ def verify_balances(sol: NetworkSolution, t_grid=None, s_grid=None) -> BalanceRe
     """Evaluate all three balance laws and package residuals with context.
 
     The instantaneous terms come from ``scaled``'s rows at s = 0, with no
-    product spectrum; ``instantaneous_balance`` checks the exact spectra.
+    product spectrum.
     """
     t_grid = default_t_grid(sol.source) if t_grid is None else t_grid
     s_grid = default_s_grid(sol.source) if s_grid is None else s_grid

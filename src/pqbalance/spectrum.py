@@ -45,7 +45,6 @@ import numpy as np
 VOLT = "volt"
 AMPERE = "ampere"
 WATT = "watt"
-VAR = "var"
 JOULE = "joule"
 
 # Relative tolerance for accepting a frequency as an integer lattice multiple.
@@ -73,7 +72,7 @@ def _find_lattice(omegas):
 
     Returns ``(None, [])`` for an empty input.  Raises IncommensurateError when
     no base exists such that every ``omega`` is an integer multiple within
-    COMMENSURATE_RTOL.
+    COMMENSURATE_RTOL, or when an index reaches 2**62.
     """
     if len(omegas) == 0:
         return None, []
@@ -92,12 +91,22 @@ def _find_lattice(omegas):
     if shrink > 1:
         base *= shrink
         indices = [n // shrink for n in indices]
+    _check_index(max(indices), base)
     for w, n in zip(omegas, indices):
         if n <= 0 or abs(w - n * base) > COMMENSURATE_RTOL * w:
             raise IncommensurateError(
                 f"frequency {w} is not a lattice multiple of base {base}"
             )
     return base, indices
+
+
+def _check_index(top, base):
+    """IncommensurateError unless the lattice index ``top`` of ``base`` is below 2**62.
+
+    Below it, a sum of two keys stays inside int64.
+    """
+    if top >= 2**62:
+        raise IncommensurateError(f"lattice index {top} of base {base} reaches 2**62")
 
 
 def _combine_units(a, b):
@@ -537,12 +546,12 @@ class LineSpectrum:
             amps = 1j * self._omegas[dc:] * self._amps[dc:]
         return self._relined(amps, _DERIVATIVE_UNITS.get(self.unit, ""), dc)
 
-    def scale(self, factor, unit=None) -> "LineSpectrum":
-        """Multiply by a real constant, optionally retagging the unit."""
+    def scale(self, factor) -> "LineSpectrum":
+        """Multiply by a real constant."""
         factor = float(factor)
         with np.errstate(over="ignore", invalid="ignore"):
             amps = factor * self._amps
-        return self._relined(amps, self.unit if unit is None else unit)
+        return self._relined(amps, self.unit)
 
     def _shared_lattice(self, other):
         """A base common to both spectra and each one's keys on it.
@@ -550,9 +559,10 @@ class LineSpectrum:
         The operands' own lattices serve when their bases are equal or one
         has none.  When one base is an integer multiple r of the other
         within COMMENSURATE_RTOL, the finer base serves and the coarser
-        operand's keys are multiplied by r.  Otherwise both sets of positive
-        frequencies are searched together, which raises IncommensurateError
-        when no base exists.
+        operand's keys are multiplied by r; IncommensurateError when one
+        reaches 2**62.  Otherwise both sets of positive frequencies are
+        searched together, which raises IncommensurateError when no base
+        exists.
         """
         a, b = self.omega0, other.omega0
         if a is None or b is None or a == b:
@@ -561,6 +571,7 @@ class LineSpectrum:
         # the search caps lattice steps at the same bound
         r = round(ratio) if ratio <= _MAX_LATTICE_STEPS else 0
         if r and abs(ratio - r) <= COMMENSURATE_RTOL * ratio:
+            _check_index(int((self if a > b else other)._keys[-1]) * r, min(a, b))
             if a > b:
                 return b, self._keys * r, other._keys
             return a, self._keys, other._keys * r

@@ -87,6 +87,22 @@ def solved_case(rng, max_branches=10, value_span=(1e-2, 1e2), max_lines=8,
     raise RuntimeError("could not draw a solvable random case")
 
 
+def port_power_reference(sol, t):
+    """Real and imaginary port power at s = 0, summed line by line with ``np.exp``.
+
+    p = (u i + u_h i_h)/2 and q = (u_h i - u i_h)/2, where u_h and i_h are
+    the Hilbert companions: a line Re{A e^{jwt}} has companion Im{A e^{jwt}},
+    and a DC line has none.  No kernel, product spectrum or Hilbert
+    transform of the package takes part.
+    """
+    def wave_and_companion(spec):
+        terms = np.exp(1j * np.multiply.outer(t, spec.omegas)) * spec.amplitudes
+        return terms.real.sum(axis=-1), terms[..., spec.omegas > 0.0].imag.sum(axis=-1)
+
+    (u, u_h), (i, i_h) = wave_and_companion(sol.source), wave_and_companion(sol.port_current)
+    return 0.5 * (u * i + u_h * i_h), 0.5 * (u_h * i - u * i_h)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20230823)

@@ -37,13 +37,12 @@ from pqbalance.power import (
     classical_summary,
     instantaneous,
     q_from_stored_energy,
-    real_imaginary_power,
     scaled,
     verify_balances,
 )
 from pqbalance.spectrum import VOLT, ComplexTimePoint, LineSpectrum
 
-from conftest import random_netlist, random_source, solved_case
+from conftest import port_power_reference, random_netlist, random_source, solved_case
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 ROOT2 = math.sqrt(2.0)
@@ -198,12 +197,12 @@ def test_sinusoidal_reduction(capsys):
 def test_s_to_zero_limits(capsys):
     worst_wave = 0.0
     for case in balance_ensemble() + single_tone_ensemble():
-        p_t, q_t = real_imaginary_power(case.sol.source, case.sol.port_current)
+        p_t, q_t = port_power_reference(case.sol, case.t)
         scale = max(
             float(np.max(np.abs(case.sq.p))), float(np.max(np.abs(case.sq.q))), 1e-300
         )
-        gap_p = np.max(np.abs(case.sq.p[:, 0] - p_t.evaluate(case.t)))
-        gap_q = np.max(np.abs(case.sq.q[:, 0] - q_t.evaluate(case.t)))
+        gap_p = np.max(np.abs(case.sq.p[:, 0] - p_t))
+        gap_q = np.max(np.abs(case.sq.q[:, 0] - q_t))
         worst_wave = max(worst_wave, float(max(gap_p, gap_q)) / scale)
 
     # the dual-route agreement at 1e-8 is enforced inside budeanu()

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ from pqbalance.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, load_config, main
 from pqbalance.network import solve
 from pqbalance.power import scaled, verify_balances
 from pqbalance.spectrum import LineSpectrum
+
+from conftest import port_power_reference
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 SRC = BENCH.parent / "src"
@@ -204,6 +207,18 @@ def test_incommensurate_source_rejected(tmp_path, capsys):
     assert "not a lattice multiple" in capsys.readouterr().err
 
 
+def test_source_beyond_the_lattice_index_range_rejected(tmp_path, capsys):
+    # an index of 1e19 overflowed int64 and ended the run with a traceback
+    path = simple_setup(
+        tmp_path,
+        source={"lines": [{"amplitude_peak": 1.0, "omega": 1.0},
+                          {"amplitude_peak": 1.0, "omega": 1e19}]},
+    )
+    assert main(["verify", "--config", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "2**62" in err[0]
+
+
 def test_singular_network_exit_code(tmp_path, capsys):
     # two capacitors in series leave the middle node unconstrained at DC
     write_json(
@@ -280,6 +295,22 @@ def test_analyze_respects_grid_values(tmp_path):
     assert float(rows[1].split(",")[1]) == pytest.approx(1.0, rel=1e-15)
 
 
+def test_negative_zero_grid_values_are_written_as_zero(tmp_path):
+    path = simple_setup(
+        tmp_path, extra={"t_grid": {"values": [-0.0, 1.0]}, "s_grid": {"values": [-0.0, 1.0]}}
+    )
+    cfg = load_config(path)
+    assert not np.signbit(cfg.t_grid).any() and not np.signbit(cfg.s_grid).any()
+    out = tmp_path / "o"
+    assert main(["analyze", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    assert {"scaled_s0.csv", "scaled_s1.csv"} <= {p.name for p in out.iterdir()}
+    rows = (out / "instantaneous.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[1].split(",")[0] == "0"
+    assert main(["sweep-s", "--config", str(path), "--out", str(tmp_path / "w")]) == EXIT_OK
+    rows = (tmp_path / "w" / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[1].split(",")[0] == "0"
+
+
 def test_analyze_format_restriction(tmp_path):
     path = simple_setup(tmp_path, extra={"s_grid": {"values": [0.0]}})
     out_csv = tmp_path / "csv_only"
@@ -333,12 +364,31 @@ def test_analyze_forms_no_hilbert_transform(bench_dir, monkeypatch):
 
     monkeypatch.setattr(LineSpectrum, "hilbert", refuse)
     monkeypatch.setattr(LineSpectrum, "multiply", refuse)
-    monkeypatch.setattr(power, "real_imaginary_power", refuse)
     monkeypatch.setattr(power, "instantaneous", refuse)
     cfg = str(bench_dir / "flicker_config.json")
     assert main(["analyze", "--config", cfg, "--out", str(bench_dir / "out")]) == EXIT_OK
     assert main(["verify", "--config", cfg]) == EXIT_OK
     assert main(["sweep-s", "--config", cfg, "--out", str(bench_dir / "sweep")]) == EXIT_OK
+
+
+def test_balance_json_stays_strict_json_at_large_scales(bench_dir):
+    # at s = 1e9 the s-step h = 1e5 gave e^{w h} = inf, and inf * 0 wrote
+    # "fd_gap": NaN, which no strict JSON reader accepts
+    cfg_path = bench_dir / "flicker_config.json"
+    doc = json.loads(cfg_path.read_text(encoding="utf-8"))
+    doc["s_grid"] = {"values": [0.0, 1e7, 1e9]}
+    write_json(cfg_path, doc)
+    out = bench_dir / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    report = json.loads((out / "balance.json").read_text(encoding="utf-8"),
+                        parse_constant=reject)
+    assert math.isfinite(report["reactive"]["fd_gap"])
 
 
 def test_analyze_power_columns_are_the_kernel_at_s_zero(bench_dir):
@@ -352,11 +402,11 @@ def test_analyze_power_columns_are_the_kernel_at_s_zero(bench_dir):
     t = cfg.time_grid()
     sq = scaled(sol, t, [0.0])
     assert p_col.tobytes() == sq.p[:, 0].tobytes() and q_col.tobytes() == sq.q[:, 0].tobytes()
-    # the four-product route of the line spectra agrees to rounding
-    p_t, q_t = power.real_imaginary_power(sol.source, sol.port_current)
+    # the line-by-line sums of u, i and their Hilbert companions agree to rounding
+    p_t, q_t = port_power_reference(sol, t)
     bound = 1e-14 * np.max(np.hypot(sq.p, sq.q))
-    assert np.max(np.abs(p_col - p_t.evaluate(t))) <= bound
-    assert np.max(np.abs(q_col - q_t.evaluate(t))) <= bound
+    assert np.max(np.abs(p_col - p_t)) <= bound
+    assert np.max(np.abs(q_col - q_t)) <= bound
 
 
 def test_analyze_evaluates_the_branches_once(bench_dir, kernel_calls):
@@ -364,10 +414,11 @@ def test_analyze_evaluates_the_branches_once(bench_dir, kernel_calls):
     assert main(["analyze", "--config", cfg, "--out", str(bench_dir / "out")]) == EXIT_OK
     # scaled: port u and i, r1 and c1, the rate of c1; then the same five
     # rows at s = 0 for every instantaneous term, read by both the CSV and
-    # the balance report; then the two finite-difference gaps on c1
+    # the balance report; then the two finite-difference gaps on c1: shifted
+    # in t forward and backward, and at s + h and s - h for the points s >= h
     n_t, n_s = kernel_calls[0][1:]
-    assert kernel_calls[:2] == [(5, n_t, n_s), (5, n_t, 1)]
-    assert all(shape[0] == 2 for shape in kernel_calls[2:])
+    # of the scales 0, 0.5, 1 and 2, the last three are >= h = 1e-4 * 2
+    assert kernel_calls == [(5, n_t, n_s), (5, n_t, 1), (2, n_t, n_s), (1, n_t, 2 * 3)]
 
 
 def test_a_thousand_line_ladder_balances(tmp_path):

@@ -6,7 +6,10 @@ import inspect
 import json
 import math
 import pickle
+import types
+import warnings
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,17 +29,15 @@ from pqbalance.power import (
     default_s_grid,
     default_t_grid,
     instantaneous,
-    instantaneous_balance,
     q_from_stored_energy,
-    real_imaginary_power,
     reactive_balance,
     scaled,
     scaled_time_means,
     verify_balances,
 )
-from pqbalance.spectrum import AMPERE, JOULE, PRUNE_RTOL, VOLT, WATT, LineSpectrum
+from pqbalance.spectrum import JOULE, PRUNE_RTOL, VOLT, WATT, LineSpectrum
 
-from conftest import random_netlist, random_source, solved_case
+from conftest import port_power_reference, random_netlist, random_source, solved_case
 
 ROOT2 = math.sqrt(2.0)
 
@@ -99,20 +100,21 @@ def test_stored_energy_nonnegative_and_split_exact(rng):
 def test_instantaneous_balance_is_identity(rng):
     for _ in range(10):
         sol = solved_case(rng, allow_dc=True)
-        iset = instantaneous(sol)
-        t = default_t_grid(sol.source, 101)
-        scale = max(float(np.max(np.abs(iset.p.evaluate(t)))), 1e-12)
-        assert instantaneous_balance(iset, t) <= 1e-9 * scale
+        sq = scaled(sol, default_t_grid(sol.source, 101), [0.0])
+        scale = max(float(np.max(np.abs(sq._instant["p"]))), 1e-12)
+        assert power._balance_report(sol, sq).instantaneous_residual <= 1e-9 * scale
 
 
 def test_perturbed_dissipation_shows_up_as_residual(flicker_solution):
-    iset = instantaneous(flicker_solution)
     t = default_t_grid(flicker_solution.source, 64)
-    base = instantaneous_balance(iset, t)
+    s = default_s_grid(flicker_solution.source, 4)
+    base = power._balance_report(flicker_solution, scaled(flicker_solution, t, s))
     eps = 1e-3
-    bumped = instantaneous(flicker_solution)
-    object.__setattr__(bumped, "p_dissipated", bumped.p_dissipated + LineSpectrum.dc(eps))
-    assert instantaneous_balance(bumped, t) == pytest.approx(base + eps, rel=1e-6)
+    bumped = scaled(flicker_solution, t, s)
+    bumped._instant["p_d"] = bumped._instant["p_d"] + eps
+    report = power._balance_report(flicker_solution, bumped)
+    assert report.instantaneous_residual == pytest.approx(
+        base.instantaneous_residual + eps, rel=1e-6)
 
 
 def test_resistive_only_storage_free():
@@ -175,25 +177,25 @@ def test_kernel_terms_match_the_product_spectra(flicker_solution):
 
 
 def test_resistive_unity_pair():
-    u = LineSpectrum.tone(1.0, ROOT2, VOLT)
-    p_t, q_t = real_imaginary_power(u, LineSpectrum.tone(1.0, ROOT2, AMPERE))
-    t = np.linspace(0.0, 7.0, 41)
-    assert np.allclose(p_t.evaluate(t), 1.0, atol=1e-14)
-    assert np.allclose(q_t.evaluate(t), 0.0, atol=1e-14)
+    # unit-rms voltage across 1 ohm: current in phase at unit rms
+    sol = solve(one_branch(RESISTOR, 1.0), LineSpectrum.tone(1.0, ROOT2, VOLT))
+    sq = scaled(sol, np.linspace(0.0, 7.0, 41), [0.0])
+    assert np.allclose(sq.p[:, 0], 1.0, atol=1e-14)
+    assert np.allclose(sq.q[:, 0], 0.0, atol=1e-14)
 
 
 def test_quadrature_pair():
-    u = LineSpectrum.tone(1.0, ROOT2, VOLT)
-    i = LineSpectrum.tone(1.0, -ROOT2 * 1.0j, AMPERE)  # sin: 90 degrees behind
-    p_t, q_t = real_imaginary_power(u, i)
-    t = np.linspace(0.0, 7.0, 41)
-    assert np.allclose(p_t.evaluate(t), 0.0, atol=1e-14)
-    assert np.allclose(q_t.evaluate(t), 1.0, atol=1e-14)
+    # unit-rms voltage across 1 H: the current is a sine, 90 degrees behind
+    sol = solve(one_branch(INDUCTOR, 1.0), LineSpectrum.tone(1.0, ROOT2, VOLT))
+    assert sol.port_current.line_at(1.0) == pytest.approx(-ROOT2 * 1.0j, abs=1e-15)
+    sq = scaled(sol, np.linspace(0.0, 7.0, 41), [0.0])
+    assert np.allclose(sq.p[:, 0], 0.0, atol=1e-14)
+    assert np.allclose(sq.q[:, 0], 1.0, atol=1e-14)
 
 
 def test_flicker_mean_reactive_power(flicker_solution):
-    _, q_t = real_imaginary_power(flicker_solution.source, flicker_solution.port_current)
-    assert q_t.mean() == pytest.approx(-30.15, rel=1e-12)
+    sq = scaled(flicker_solution, default_t_grid(flicker_solution.source), [0.0])
+    assert np.mean(sq.q[:, 0]) == pytest.approx(-30.15, rel=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -230,12 +232,12 @@ def test_flicker_scaled_mean_active_power(flicker_solution):
 def test_scaled_matches_port_power_waves_at_s_zero(rng):
     for _ in range(6):
         sol = solved_case(rng, allow_dc=True)
-        p_t, q_t = real_imaginary_power(sol.source, sol.port_current)
         t = default_t_grid(sol.source, 33)
+        p_t, q_t = port_power_reference(sol, t)
         sq = scaled(sol, t, np.array([0.0, 0.7]))
         scale = max(float(np.max(np.abs(sq.p))), float(np.max(np.abs(sq.q))), 1e-12)
-        assert np.max(np.abs(sq.p[:, 0] - p_t.evaluate(t))) <= 1e-10 * scale
-        assert np.max(np.abs(sq.q[:, 0] - q_t.evaluate(t))) <= 1e-10 * scale
+        assert np.max(np.abs(sq.p[:, 0] - p_t)) <= 1e-10 * scale
+        assert np.max(np.abs(sq.q[:, 0] - q_t)) <= 1e-10 * scale
 
 
 def test_scaled_pointwise_identities(rng):
@@ -441,21 +443,21 @@ SCALED_FIELDS = ("t", "s", "w_magnetic", "w_electric", "w_stored", "x_reactive",
 def grid_table_formulas(sol, t, s, h_t, h_s):
     """Scaled fields and fd gaps from tables exp(j w t) and exp(-w s) built once.
 
-    Amplitude rows A give ``rot @ (A[:, :, None] * damp)``, and a shift by
-    +h or -h scales line k by a per-line factor, as power.py's own grid
-    kernel computed them before ``scaled`` evaluated through
-    ``spectrum._analytic``.
+    Amplitude rows A give ``rot @ (A[:, :, None] * damp)``, as power.py's
+    own grid kernel computed them before ``scaled`` evaluated through
+    ``spectrum._analytic``.  A shift in t by +h or -h scales line k by
+    e^{+-j w_k h}; a shift in s evaluates at the scales s + h and s - h.
     """
     lines = power._LineAmplitudes(sol)
     store = lines.sigma != 0.0
     rot = np.exp(1j * np.multiply.outer(t, lines.omegas))
     damp = np.exp(-np.multiply.outer(lines.omegas, s))
 
-    def analytic(amps, factor=1.0, cols=slice(None)):
-        return rot @ ((amps * factor)[:, :, None] * damp[:, cols])
+    def analytic(amps, factor=1.0):
+        return rot @ ((amps * factor)[:, :, None] * damp)
 
-    def stored(weights, factor, cols=slice(None)):
-        a = analytic(lines.branch[store], factor, cols)
+    def stored(weights, factor):
+        a = analytic(lines.branch[store], factor)
         return (weights[store, None, None] * np.abs(a) ** 2).sum(axis=0)
 
     a = analytic(lines.branch)
@@ -475,12 +477,14 @@ def grid_table_formulas(sol, t, s, h_t, h_s):
     )
     shift = np.exp(1j * lines.omegas * h_t)
     fd_t = (stored(lines.c, shift) - stored(lines.c, shift.conjugate())) / (2.0 * h_t)
+    # the stored rows at s + h and s - h, in one table of scales
     keep = s >= h_s
-    x_c = lines.sigma * lines.c
-    fd_s = (
-        stored(x_c, np.exp(-lines.omegas * h_s), keep)
-        - stored(x_c, np.exp(lines.omegas * h_s), keep)
-    ) / (2.0 * h_s)
+    shifted = np.concatenate((s[keep] + h_s, s[keep] - h_s))
+    a = rot @ (lines.branch[store][:, :, None] * np.exp(-np.multiply.outer(lines.omegas, shifted)))
+    x_c = (lines.sigma * lines.c)[store, None, None]
+    fwd, bwd = np.split(a, 2, axis=-1)
+    fd_s = ((x_c * np.abs(fwd) ** 2).sum(axis=0)
+            - (x_c * np.abs(bwd) ** 2).sum(axis=0)) / (2.0 * h_s)
     gap_t = float(np.max(np.abs(fd_t - fields["_dw_dt"]), initial=0.0))
     gap_s = float(np.max(np.abs(fd_s - fields["_dx_ds"][:, keep]), initial=0.0))
     return fields, gap_t, gap_s
@@ -533,12 +537,23 @@ def test_scaled_and_its_checks_make_one_kernel_call_each(flicker_solution, kerne
     del kernel_calls[:]
     d_dt_fd_gap(sq, 0.01)
     d_ds_fd_gap(sq, 0.6)
-    # c1 shifted forward and backward, on the scale points s >= h
-    assert kernel_calls == [(2, 8, 3), (2, 8, 1)]
+    # c1 shifted forward and backward in t; c1 at s + h and s - h for the points s >= h
+    assert kernel_calls == [(2, 8, 3), (1, 8, 2)]
     del kernel_calls[:]
     # scaled, the same rows at s = 0 for the instantaneous law, the two gaps
     verify_balances(flicker_solution, t, s)
     assert len(kernel_calls) == 4
+
+
+def test_fd_gaps_stay_finite_across_a_wide_line_spread():
+    # lines at 1 and 1e6 rad/s: the default s-step h = 1e-3 gave e^{w h} = inf
+    # at the top line, and inf * 0 made d_ds_fd_gap NaN
+    sol = solve(rlc_net(), LineSpectrum.from_lines([(1.0, 1.0), (1e6, 0.5)], VOLT))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_balances(sol)
+    assert math.isfinite(report.d_ds_fd_gap) and math.isfinite(report.d_dt_fd_gap)
+    assert report.d_ds_fd_gap <= 1e-4 * report.reactive_scale
 
 
 # every entry point to the (t, s) grid, called with one scale value s
@@ -564,7 +579,6 @@ def test_grid_entry_points_reject_a_bad_scale(entry, bad):
 TIME_ENTRY_POINTS = {
     **GRID_ENTRY_POINTS,
     "evaluate": lambda sol, t, s: sol.source.evaluate(t),
-    "instantaneous_balance": lambda sol, t, s: instantaneous_balance(instantaneous(sol), t),
     # the window of sample starts at the bad time; its own message names t0
     "sample": lambda sol, t, s: sol.source.sample(t[1], s, 3),
 }
@@ -572,7 +586,7 @@ TIME_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("entry", ["analytic_grid", "scaled", "verify_balances", "analytic_at",
-                                   "evaluate", "sample", "instantaneous_balance"])
+                                   "evaluate", "sample"])
 def test_time_grid_entry_points_reject_a_non_finite_time(entry, bad):
     # unchecked, a non-finite time gave NaN everywhere on its row
     sol = solve(rlc_net(), LineSpectrum.from_lines([(0.0, 3.0), (2.0, 1.5 - 0.5j)], VOLT))
@@ -644,10 +658,12 @@ def test_budeanu_pure_sinusoid_is_classical():
     phi = 0.7
     # current 1 A rms lagging the 5 V rms source by phi
     omega = 2.0
-    u = LineSpectrum.tone(omega, 5.0 * ROOT2, VOLT)
-    i = LineSpectrum.tone(omega, ROOT2 * np.exp(-1j * phi), AMPERE)
-    _, q_t = real_imaginary_power(u, i)
-    assert q_t.mean() == pytest.approx(5.0 * math.sin(phi), rel=1e-13)
+    # a series R-L of impedance 5 e^{j phi} ohm draws that current
+    sol = series_rl_solution(5.0 * math.cos(phi), 5.0 * math.sin(phi) / omega, omega,
+                             5.0 * ROOT2)
+    assert sol.port_current.line_at(omega) == pytest.approx(ROOT2 * np.exp(-1j * phi), rel=1e-15)
+    sq = scaled(sol, default_t_grid(sol.source), [0.0])
+    assert np.mean(sq.q[:, 0]) == pytest.approx(5.0 * math.sin(phi), rel=1e-13)
 
 
 def test_budeanu_resistive_is_zero():
@@ -875,17 +891,6 @@ def test_the_phasor_stack_has_one_reader():
     """power.py reads no ``per_line``, and of the package only
     ``power._LineAmplitudes`` reads the solution's stack, which
     ``NetworkSolution`` only restores on copy."""
-    def named(tree):
-        names = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
-        return names
-
     def reads(tree, attr):
         # an attribute, or a string as getattr would take it
         return [node for node in ast.walk(tree)
@@ -906,7 +911,47 @@ def test_the_phasor_stack_has_one_reader():
     for mod, tree in trees.items():
         allowed = inside(tree, owners[mod]) if mod in owners else set()
         assert all(id(node) in allowed for node in reads(tree, "_phasors")), mod.__name__
-    assert "real_imaginary_power" not in named(trees[cli])
+
+
+def test_all_lists_exactly_the_public_names():
+    # a removed name cannot stay listed, nor a new one go unlisted
+    bound = {name for name, value in vars(pqbalance).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(pqbalance.__all__) == sorted(bound)
+    assert len(set(pqbalance.__all__)) == len(pqbalance.__all__)
+
+
+def test_only_instantaneous_forms_product_spectra():
+    """Of the package, only ``power.instantaneous`` calls ``multiply``, besides
+    the ``*`` operator that spells it, and neither ``power`` nor ``cli`` forms
+    a Hilbert transform: the kernel is the one route to P and Q at s = 0."""
+    def callers(tree, method):
+        # the dotted name of the enclosing definition, once per call of .method()
+        found = []
+
+        def visit(node, scope):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == method
+                    and not (isinstance(node.func.value, ast.Name) and node.func.value.id == "np")):
+                found.append(".".join(scope))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope = (*scope, node.name)
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(tree, ())
+        return found
+
+    package = Path(pqbalance.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert {"cli", "power", "spectrum"} <= set(trees)
+    multiply = {name: callers(tree, "multiply") for name, tree in trees.items()}
+    assert multiply == {name: {"power": ["instantaneous"] * 2,
+                               "spectrum": ["LineSpectrum.__mul__"]}.get(name, [])
+                        for name in trees}
+    for name in ("cli", "power"):
+        assert callers(trees[name], "hilbert") == [], name
 
 
 # ----------------------------------------------------------------------
@@ -934,7 +979,6 @@ def test_power_layers_reuse_the_solved_lattice(rng, lattice_searches):
             sol = solved_case(rng, allow_dc=allow_dc)
             del lattice_searches[:]
             instantaneous(sol)
-            real_imaginary_power(sol.source, sol.port_current)
             budeanu(sol)
             assert lattice_searches == [], allow_dc
 

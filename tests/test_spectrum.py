@@ -23,7 +23,6 @@ from pqbalance.power import (
     budeanu,
     instantaneous,
     q_from_stored_energy,
-    real_imaginary_power,
     scaled,
     verify_balances,
 )
@@ -543,6 +542,24 @@ def test_sum_of_incommensurate_tones_rejected():
         LineSpectrum.tone(1.0) - LineSpectrum.tone(math.pi)
 
 
+def test_lattice_indices_stay_below_two_to_the_62():
+    # at 1e19 the index overflowed int64 on assignment; at 5e18 it fit, but
+    # a product's key sums wrapped and moved a line to 8.45e18 rad/s
+    for top in (1e19, 5e18):
+        with pytest.raises(IncommensurateError, match=r"reaches 2\*\*62"):
+            LineSpectrum.from_lines([(1.0, 1.0), (top, 1.0)])
+    wide = LineSpectrum.from_lines([(1.0, 1.0), (1e15, 1.0)])
+    assert (wide.omega0, wide._keys.tolist()) == (1.0, [1, 10**15])
+    # each operand fits on its own base; 3 * 2**61 on the finer base does not
+    coarse = LineSpectrum.from_lines([(3.0, 1.0), (3.0 * 2.0**61, 1.0)])
+    assert (coarse.omega0, coarse._keys.tolist()) == (3.0, [1, 2**61])
+    fine = LineSpectrum.tone(1.0)
+    for combine in (lambda: coarse + fine, lambda: fine - coarse,
+                    lambda: coarse.multiply(fine), lambda: fine.multiply(coarse)):
+        with pytest.raises(IncommensurateError, match=r"reaches 2\*\*62"):
+            combine()
+
+
 def test_operands_on_different_bases_meet_on_a_common_lattice(lattice_searches):
     a = LineSpectrum.from_lines([(1.0 / 3.0, 1.0), (2.0 / 3.0, 0.5j)])
     b = LineSpectrum.from_lines([(0.0, 2.0), (0.5, -1.0 + 0.5j), (1.0, 0.25)])
@@ -594,7 +611,6 @@ def test_pipeline_builds_no_line_objects(rng, line_objects):
         sol = solved_case(rng, allow_dc=True)
         sol = solve(sol.netlist, sol.source)
         instantaneous(sol)
-        real_imaginary_power(sol.source, sol.port_current)
         scaled(sol, np.linspace(0.0, 1.0, 8), [0.0, 0.5])
         verify_balances(sol)
         budeanu(sol)
