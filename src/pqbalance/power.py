@@ -5,7 +5,8 @@ solution:
 
 * instantaneous (real time): port power, dissipation, and stored
   energies, the s = 0 slice on a time grid (``instantaneous`` also
-  builds them as exact product line spectra);
+  builds them as exact line spectra, summing the line table's line-pair
+  products on the source's lattice);
 * classical per-line phasors: active/reactive power per frequency with
   Budeanu totals and apparent power;
 * time-scale quantities on a (t, s) grid, where the scale s >= 0 damps
@@ -134,24 +135,47 @@ class InstantaneousSet:
 def instantaneous(sol: NetworkSolution) -> InstantaneousSet:
     """Assemble p = u*i, p_d = sum R i^2, w_m = sum L i^2 / 2, w_e = sum C u^2 / 2.
 
-    Each branch adds 2 c_b a_b^2 to its kind's sum, with a_b and c_b by ``_RULES``.
+    Every term is a sum over line pairs (k, l) at the key n_k + n_l of the
+    source's lattice.  The rows of the line table become two-sided
+    coefficient rows X: a DC entry at full weight, and A/2 at +n_k and
+    conj(A)/2 at -n_k for every other line.  A kind's pair coefficients are
+    the Gram matrix (X^T w) @ X over its rows, with w = 2 c_b by ``_RULES``;
+    p pairs the u row with the i row.  Each is summed onto its keys n >= 0.
     """
-    p = sol.source.multiply(sol.port_current)
-    sums = {RESISTOR: LineSpectrum.zero(WATT), INDUCTOR: LineSpectrum.zero(JOULE),
-            CAPACITOR: LineSpectrum.zero(JOULE)}
-    for b in sol.netlist.branches:
-        signal, weight, _ = _RULES[b.kind]
-        a_b = getattr(sol, "branch_" + signal)[b.id]
-        total = sums[b.kind]
-        sums[b.kind] = total + a_b.multiply(a_b, unit=total.unit).scale(2.0 * weight * b.value)
-    w_m, w_e = sums[INDUCTOR], sums[CAPACITOR]
+    lines, source = _LineAmplitudes(sol), sol.source
+    dc, _ = source._split()
+    rows = np.concatenate((lines.port, lines.branch))
+    half = 0.5 * rows[:, dc:]
+    x = np.concatenate((rows[:, :dc].real, half, half.conj()), axis=1)
+    two_sided = np.concatenate((source._keys, -source._keys[dc:]))
+    pairs = np.add.outer(two_sided, two_sided).ravel()
+    upper = pairs >= 0
+    pairs = pairs[upper]
+
+    def summed(left, right):
+        # one-sided amplitude: 2 c_n for n > 0, the real part of c_0 for DC
+        gram = (left.T @ right).ravel()[upper]
+        found, _, coef = spectrum._sum_by_key(pairs, gram.real, gram.imag)
+        return found, np.where(found > 0, 2.0 * coef, coef.real)
+
+    branch, weight = x[2:], 2.0 * lines.c[:, None]
+    found, p = summed(x[:1], x[1:2])
+    kinds = {kind: summed(branch[mask] * weight[mask], branch[mask])[1]
+             for kind, mask in ((RESISTOR, ~lines.store), (INDUCTOR, lines.sigma > 0.0),
+                                (CAPACITOR, lines.sigma < 0.0))}
+    w_m, w_e = kinds[INDUCTOR], kinds[CAPACITOR]
+    omegas = found * (0.0 if source.omega0 is None else source.omega0)
+
+    def held(amps, unit):
+        return object.__new__(LineSpectrum)._store(found, omegas, amps, unit, source.omega0)
+
     return InstantaneousSet(
-        p=p,
-        p_dissipated=sums[RESISTOR],
-        w_magnetic=w_m,
-        w_electric=w_e,
-        w_stored=w_m + w_e,
-        x_reactive=w_m - w_e,
+        p=held(p, WATT),
+        p_dissipated=held(kinds[RESISTOR], WATT),
+        w_magnetic=held(w_m, JOULE),
+        w_electric=held(w_e, JOULE),
+        w_stored=held(w_m + w_e, JOULE),
+        x_reactive=held(w_m - w_e, JOULE),
     )
 
 
@@ -602,10 +626,12 @@ def _balance_report(sol: NetworkSolution, sq: ScaledQuantities) -> BalanceReport
     # clean identities.
     pq_mag = _peak(np.hypot(sq.p, sq.q))
 
-    period = sol.source.period
-    h_t = 1e-4 * (period if period is not None else 1.0)
+    # steps far inside the fastest line's period and damping scale, so
+    # neither central difference aliases; a source without one keeps fixed steps
+    w_top = sol.source.omega_max
     s_top = float(s_arr.max()) if s_arr.size else 1.0
-    h_s = 1e-4 * max(s_top, 1e-6)
+    h_t, h_s = ((1e-4, 1e-4 * max(s_top, 1e-6)) if w_top is None
+                else (1e-4 * 2.0 * math.pi / w_top, 1e-4 / w_top))
     return BalanceReport(
         instantaneous_residual=inst_res,
         instantaneous_scale=_peak(*inst_terms),

@@ -8,20 +8,20 @@ is stored as three arrays over its spectral lines: the integer lattice
 indices n_k (0 for DC), the frequencies w_k and the complex peak
 amplitudes A_k.  Every positive frequency must lie on the integer lattice
 of a common base frequency ``omega0`` (within 1e-9 relative), which turns
-products, periodic means, time derivatives and the analytic continuation
-of the signal into exact line-level operations instead of discretized
-ones.  ``SpectralLine`` objects are built only when ``lines`` is read.
+periodic means, time derivatives and the analytic continuation of the
+signal into exact line-level operations instead of discretized ones.
+``SpectralLine`` objects are built only when ``lines`` is read.
 
-The lattice is searched for once, in the one constructor that takes user
-frequencies: a rational-ratio search finds ``omega0`` and each line's
-integer index ``n_k``.  Every operator then carries ``(omega0, n_k)`` to
-its result instead of searching again.  Scaling, negation, the Hilbert
-transform and the derivative keep the operand's indices; sums merge lines
-by index; a product convolves the two-sided coefficients by integer index
-sums.  A result whose surviving indices share a factor ``g`` moves to the
-coarser base ``g*omega0``.  Two operands whose bases differ by an integer
-factor meet on the finer base; only two operands on otherwise different
-bases are searched again, over both operands' frequencies together.
+Every spectrum built from frequencies is searched for its lattice in one
+place, ``_on_lines``: a rational-ratio search finds ``omega0`` and each
+line's integer index ``n_k``.  The constructor calls it on the user's
+lines and ``+`` on both operands' lines together, so a sum of spectra on
+different bases lands on the lattice a fresh construction would find.
+Scaling, negation, the Hilbert transform and the derivative keep the
+operand's ``(omega0, n_k)`` without a search.  A result whose surviving
+indices share a factor ``g`` moves to the coarser base ``g*omega0``.
+There is no product of two spectra: ``power.instantaneous`` forms its
+products from line pairs on the source's lattice.
 
 The analytic signal of ``f`` is ``A0 + sum_k A_k exp(j w_k t)``; a constant
 keeps its full weight, so the analytic signal of a DC value ``c`` is ``c``
@@ -49,8 +49,6 @@ JOULE = "joule"
 
 # Relative tolerance for accepting a frequency as an integer lattice multiple.
 COMMENSURATE_RTOL = 1e-9
-# Relative threshold below which product lines are discarded.
-PRUNE_RTOL = 1e-14
 
 _MAX_LATTICE_STEPS = 10**8
 # Denominator cap for the rational-ratio search.  Must stay well below
@@ -59,7 +57,6 @@ _MAX_LATTICE_STEPS = 10**8
 # error above the 1e-9 gate and irrational inputs get rejected instead of
 # silently approximated.
 _MAX_LATTICE_DENOMINATOR = 10**4
-_PRODUCT_UNITS = {(VOLT, AMPERE): WATT, (AMPERE, VOLT): WATT}
 _DERIVATIVE_UNITS = {JOULE: WATT}
 
 
@@ -275,10 +272,10 @@ class LineSpectrum:
     holds each line's integer multiple of the lattice base ``omega0`` (0
     for DC; ``omega0`` is None without positive lines), ``_omegas`` the
     frequencies and ``_amps`` the amplitudes.  ``lines`` is built from them
-    on first read.  The constructor searches for the lattice once; the
-    operators derive their results' lattices from their operands' and store
-    them through the same ``_store`` without a search, unless two
-    operands' bases differ.
+    on first read.  The constructor searches for the lattice once, and
+    ``a + b`` is the constructor on both operands' lines; the other
+    operators keep their operand's lattice and store through the same
+    ``_store`` without a search.
 
     Instances are immutable after construction and safe to share between
     threads.
@@ -309,10 +306,11 @@ class LineSpectrum:
         """Hold the lines at frequencies ``omegas`` (each finite and >= 0)
         with amplitudes ``amps``, merged as the constructor documents.
 
-        The one lattice search of every constructed spectrum.  ``amps``
-        must be the caller's own array.  When no line merges or drops, both
-        arrays are held as they are (``amps`` after adding 0.0 in place),
-        so neither may be written to afterwards.  Returns ``self``.
+        The one lattice search of every spectrum built from frequencies, by
+        the constructor or by ``+``.  ``amps`` must be the caller's own
+        array.  When no line merges or drops, both arrays are held as they
+        are (``amps`` after adding 0.0 in place), so neither may be written
+        to afterwards.  Returns ``self``.
         """
         positive = omegas > 0.0
         base, found = _find_lattice(omegas[positive].tolist())
@@ -326,11 +324,10 @@ class LineSpectrum:
         keys, first, sums = _sum_by_key(keys, amps.real, amps.imag)
         return self._store(keys, omegas[first], sums, unit, base)
 
-    def _store(self, keys, omegas, amps, unit, base, prune=False):
+    def _store(self, keys, omegas, amps, unit, base):
         """Hold lines at ascending distinct lattice indices ``keys`` of ``base``.
 
-        Key 0 is the DC line.  Exact zeros, and with ``prune`` lines below
-        PRUNE_RTOL of the largest amplitude, are dropped; the base then grows
+        Key 0 is the DC line.  Exact zeros are dropped; the base then grows
         by the gcd of the surviving keys.  ``amps`` must be the caller's own
         array: its DC entry is set to its real part.  The arrays are held
         as they are, made read-only, when no line is dropped.  Returns
@@ -345,7 +342,7 @@ class LineSpectrum:
                     raise ValueError("the DC amplitude must be purely real")
                 amps[0] = amps[0].real
                 mags[0] = abs(amps[0].real)
-            keep = mags > (PRUNE_RTOL * mags.max() if prune else 0.0)
+            keep = mags > 0.0
             if not keep.all():
                 keys, omegas, amps = keys[keep], omegas[keep], amps[keep]
             shrink = math.gcd(*keys.tolist())
@@ -553,86 +550,6 @@ class LineSpectrum:
             amps = factor * self._amps
         return self._relined(amps, self.unit)
 
-    def _shared_lattice(self, other):
-        """A base common to both spectra and each one's keys on it.
-
-        The operands' own lattices serve when their bases are equal or one
-        has none.  When one base is an integer multiple r of the other
-        within COMMENSURATE_RTOL, the finer base serves and the coarser
-        operand's keys are multiplied by r; IncommensurateError when one
-        reaches 2**62.  Otherwise both sets of positive frequencies are
-        searched together, which raises IncommensurateError when no base
-        exists.
-        """
-        a, b = self.omega0, other.omega0
-        if a is None or b is None or a == b:
-            return (b if a is None else a), self._keys, other._keys
-        ratio = max(a, b) / min(a, b)
-        # the search caps lattice steps at the same bound
-        r = round(ratio) if ratio <= _MAX_LATTICE_STEPS else 0
-        if r and abs(ratio - r) <= COMMENSURATE_RTOL * ratio:
-            _check_index(int((self if a > b else other)._keys[-1]) * r, min(a, b))
-            if a > b:
-                return b, self._keys * r, other._keys
-            return a, self._keys, other._keys * r
-        dc_a, _ = self._split()
-        dc_b, _ = other._split()
-        n_a = self._keys.size - dc_a
-        base, found = _find_lattice(
-            self._omegas[dc_a:].tolist() + other._omegas[dc_b:].tolist()
-        )
-        found = np.array(found, dtype=np.int64)
-        keys_a = np.concatenate((self._keys[:dc_a], found[:n_a]))
-        keys_b = np.concatenate((other._keys[:dc_b], found[n_a:]))
-        return base, keys_a, keys_b
-
-    def _two_sided(self, keys):
-        """Two-sided Fourier coefficients in line order: keys, real and imaginary parts.
-
-        A DC line gives c_0 = A_0; a line at key n > 0 gives c_n = A/2
-        followed by c_-n = conj(A)/2.
-        """
-        amps = self._amps
-        dc = int(keys[0] == 0)
-        half = 0.5 * amps[dc:]
-        k2 = np.empty(2 * keys.size - dc, dtype=np.int64)
-        re2 = np.empty(k2.size)
-        im2 = np.empty(k2.size)
-        k2[:dc], re2[:dc], im2[:dc] = 0, amps[:dc].real, 0.0
-        k2[dc::2], re2[dc::2], im2[dc::2] = keys[dc:], half.real, half.imag
-        k2[dc + 1::2], re2[dc + 1::2], im2[dc + 1::2] = -keys[dc:], half.real, -half.imag
-        return k2, re2, im2
-
-    def multiply(self, other, unit=None) -> "LineSpectrum":
-        """Exact pointwise product via sum and difference frequencies.
-
-        Both spectra must live on a common frequency lattice.  The result
-        satisfies evaluate(f*g, t) == evaluate(f, t)*evaluate(g, t) to machine
-        precision; lines below PRUNE_RTOL of the largest product amplitude are
-        dropped.  The product's lines sit at n*omega0 of the common base.
-        """
-        if not isinstance(other, LineSpectrum):
-            raise TypeError("multiply expects another LineSpectrum")
-        if unit is None:
-            unit = _PRODUCT_UNITS.get((self.unit, other.unit), "")
-        if self.is_zero or other.is_zero:
-            return LineSpectrum.zero(unit)
-        base, keys_a, keys_b = self._shared_lattice(other)
-        k_a, re_a, im_a = self._two_sided(keys_a)
-        k_b, re_b, im_b = other._two_sided(keys_b)
-        keys = np.add.outer(k_a, k_b).ravel()
-        upper = keys >= 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            # the real form rounds each partial product once, as scalar complex
-            # multiplication does, where numpy's complex kernels may fuse them
-            re = np.multiply.outer(re_a, re_b) - np.multiply.outer(im_a, im_b)
-            im = np.multiply.outer(re_a, im_b) + np.multiply.outer(im_a, re_b)
-            keys, _, conv = _sum_by_key(keys[upper], re.ravel()[upper], im.ravel()[upper])
-            # one-sided amplitude: 2*c_n for n > 0, the real part of c_0 for DC
-            amps = np.where(keys > 0, 2.0 * conv, conv.real)
-        omegas = keys * (0.0 if base is None else base)
-        return object.__new__(LineSpectrum)._store(keys, omegas, amps, unit, base, prune=True)
-
     # ------------------------------------------------------------------
     # operators
 
@@ -640,13 +557,9 @@ class LineSpectrum:
         if not isinstance(other, LineSpectrum):
             return NotImplemented
         unit = _combine_units(self.unit, other.unit)
-        base, keys_a, keys_b = self._shared_lattice(other)
-        amps = np.concatenate((self._amps, other._amps))
-        keys, first, amps = _sum_by_key(
-            np.concatenate((keys_a, keys_b)), amps.real, amps.imag
-        )
-        omegas = np.concatenate((self._omegas, other._omegas))[first]
-        return object.__new__(LineSpectrum)._store(keys, omegas, amps, unit, base)
+        return object.__new__(LineSpectrum)._on_lines(
+            np.concatenate((self._omegas, other._omegas)),
+            np.concatenate((self._amps, other._amps)), unit)
 
     def __sub__(self, other):
         if not isinstance(other, LineSpectrum):
@@ -657,8 +570,6 @@ class LineSpectrum:
         return self.scale(-1.0)
 
     def __mul__(self, other):
-        if isinstance(other, LineSpectrum):
-            return self.multiply(other)
         if isinstance(other, (int, float)):
             return self.scale(other)
         return NotImplemented

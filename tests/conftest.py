@@ -103,6 +103,46 @@ def port_power_reference(sol, t):
     return 0.5 * (u * i + u_h * i_h), 0.5 * (u_h * i - u * i_h)
 
 
+def reference_product(f, g, unit=""):
+    """The product f g of two spectra by a two-sided convolution over lattice indices.
+
+    ``f`` and ``g`` may also be equal-length lists of spectra, whose
+    products f_i g_i are summed.  Each operand's lines give two-sided
+    coefficients by integer index: a DC line c_0 = A_0, a line at index
+    n > 0 c_n = A/2 and c_-n = conj(A)/2.  A dict keyed by index sums every
+    c_m d_n at m + n in Python complex arithmetic; index n > 0 becomes the
+    line 2 c_n and index 0 the DC line.  All operands meet on the finest
+    of their bases, which must divide each other one by an integer.  No
+    product code of the package takes part: the result is stored on that
+    base as ``LineSpectrum`` stores any lines, with no lattice search.
+    """
+    pairs = list(zip(f, g, strict=True)) if isinstance(f, list) else [(f, g)]
+    base = min((h.omega0 for pair in pairs for h in pair if h.omega0 is not None),
+               default=None)
+
+    def coefficients(h):
+        ratio = 1 if h.omega0 in (None, base) else round(h.omega0 / base)
+        assert h.omega0 is None or abs(h.omega0 - ratio * base) <= 1e-9 * h.omega0
+        coef = {}
+        for n, a in zip(h._keys.tolist(), h._amps.tolist()):
+            if n == 0:
+                coef[0] = complex(a.real)
+            else:
+                coef[n * ratio], coef[-n * ratio] = a / 2.0, a.conjugate() / 2.0
+        return coef
+
+    total = {}
+    for a, b in pairs:
+        for m, c in coefficients(a).items():
+            for n, d in coefficients(b).items():
+                total[m + n] = total.get(m + n, 0.0) + c * d
+    keys = sorted(n for n in total if n >= 0)
+    amps = [2.0 * total[n] if n else complex(total[n].real) for n in keys]
+    keys = np.array(keys, dtype=np.int64)
+    return object.__new__(LineSpectrum)._store(
+        keys, keys * (base or 0.0), np.array(amps, dtype=complex), unit, base)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20230823)

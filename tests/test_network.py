@@ -27,7 +27,7 @@ from pqbalance.network import (
 from pqbalance.oracle import _time_domain_matrices
 from pqbalance.spectrum import AMPERE, VOLT, LineSpectrum
 
-from conftest import random_netlist, random_source, solved_case
+from conftest import random_netlist, random_source, reference_product, solved_case
 
 ROOT2 = math.sqrt(2.0)
 
@@ -691,11 +691,9 @@ def test_tellegen_per_line_and_in_time():
             total = sum(ph.voltage[b.id] * np.conj(ph.current[b.id]) for b in net.branches)
             port = ph.port_voltage * np.conj(ph.port_current)
             assert abs(total - port) <= 1e-10 * max(abs(port), 1e-9)
-        p_branches = sum(
-            (sol.branch_voltage[b.id].multiply(sol.branch_current[b.id]) for b in net.branches),
-            LineSpectrum.zero(),
-        )
-        p_port = sol.source.multiply(sol.port_current)
+        p_branches = reference_product([sol.branch_voltage[b.id] for b in net.branches],
+                                       [sol.branch_current[b.id] for b in net.branches])
+        p_port = reference_product(sol.source, sol.port_current)
         t = rng.uniform(0.0, 50.0, size=100)
         lhs, rhs = p_branches.evaluate(t), p_port.evaluate(t)
         scale = max(float(np.max(np.abs(rhs))), 1e-9)

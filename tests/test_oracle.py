@@ -40,7 +40,7 @@ from pqbalance.spectrum import (
     LineSpectrum,
 )
 
-from conftest import random_netlist, random_source
+from conftest import random_netlist, random_source, reference_product
 
 ROOT2 = math.sqrt(2.0)
 
@@ -1119,7 +1119,7 @@ def test_numeric_mean_of_sine_vanishes():
 
 def test_numeric_mean_of_flicker_power(flicker_netlist, flicker_source):
     sol = solve(flicker_netlist, flicker_source)
-    p = sol.source.multiply(sol.port_current)
+    p = reference_product(sol.source, sol.port_current)
     n = 4096
     sig = p.sample(0.0, p.period / n, n)
     assert numeric_mean(sig) == pytest.approx(10.05, abs=1e-6)
