@@ -443,8 +443,3 @@ def solve(net: Netlist, source: LineSpectrum) -> NetworkSolution:
         port_current=spectrum(rows[-1], AMPERE),
         _phasors=stack,
     )
-
-
-def driving_point_admittance(net: Netlist, omega) -> complex:
-    """Port admittance Y(j*omega): port current drawn for a unit port voltage."""
-    return solve_frequency(net, omega, 1.0).port_current

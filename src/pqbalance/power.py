@@ -150,17 +150,17 @@ def instantaneous(sol: NetworkSolution) -> InstantaneousSet:
     two_sided = np.concatenate((source._keys, -source._keys[dc:]))
     pairs = np.add.outer(two_sided, two_sided).ravel()
     upper = pairs >= 0
-    pairs = pairs[upper]
+    found, slot = np.unique(pairs[upper], return_inverse=True)
 
     def summed(left, right):
         # one-sided amplitude: 2 c_n for n > 0, the real part of c_0 for DC
         gram = (left.T @ right).ravel()[upper]
-        found, _, coef = spectrum._sum_by_key(pairs, gram.real, gram.imag)
-        return found, np.where(found > 0, 2.0 * coef, coef.real)
+        coef = spectrum._sum_into(slot, found.size, gram.real, gram.imag)
+        return np.where(found > 0, 2.0 * coef, coef.real)
 
     branch, weight = x[2:], 2.0 * lines.c[:, None]
-    found, p = summed(x[:1], x[1:2])
-    kinds = {kind: summed(branch[mask] * weight[mask], branch[mask])[1]
+    p = summed(x[:1], x[1:2])
+    kinds = {kind: summed(branch[mask] * weight[mask], branch[mask])
              for kind, mask in ((RESISTOR, ~lines.store), (INDUCTOR, lines.sigma > 0.0),
                                 (CAPACITOR, lines.sigma < 0.0))}
     w_m, w_e = kinds[INDUCTOR], kinds[CAPACITOR]
@@ -314,21 +314,6 @@ def scaled(sol: NetworkSolution, t_grid, s_grid) -> ScaledQuantities:
         _lines=lines,
         _phase=phase,
     )
-
-
-def _reactive_gap(sq: ScaledQuantities) -> np.ndarray:
-    """|-dX/ds - Q| on the grid."""
-    return np.abs(-sq._dx_ds - sq.q)
-
-
-def active_balance(sq: ScaledQuantities) -> float:
-    """Max over the grid of |dW/dt - (P - P_d)|, with dW/dt exact per line."""
-    return _worst(_power_gap(sq._dw_dt, sq.p, sq.p_dissipated))[0]
-
-
-def reactive_balance(sq: ScaledQuantities) -> float:
-    """Max over the grid of |-dX/ds - Q|, with dX/ds exact per line."""
-    return _worst(_reactive_gap(sq))[0]
 
 
 def _check_step(h):
@@ -616,7 +601,7 @@ def _balance_report(sol: NetworkSolution, sq: ScaledQuantities) -> BalanceReport
     act_res, (act_t, act_s) = _worst(
         _power_gap(sq._dw_dt, sq.p, sq.p_dissipated), t_arr, s_arr
     )
-    rea_res, (rea_t, rea_s) = _worst(_reactive_gap(sq), t_arr, s_arr)
+    rea_res, (rea_t, rea_s) = _worst(np.abs(-sq._dx_ds - sq.q), t_arr, s_arr)
     # P and Q are the real and imaginary parts of the half voltage-current
     # product, so the natural magnitude of either is that whole product.
     # Degenerate loads zero one law's terms exactly (a lossless load makes

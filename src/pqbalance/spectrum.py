@@ -117,16 +117,22 @@ def _combine_units(a, b):
 
 
 def _sum_by_key(keys, re, im):
-    """Distinct keys ascending, each one's first position, and per-key sums.
-
-    The sums of ``re + j*im`` are added in input order, as a running sum
-    over the entries would add them.
-    """
+    """Distinct keys ascending, each one's first position, and per-key sums
+    of ``re + j*im`` by ``_sum_into``."""
     keys, first, slot = np.unique(keys, return_index=True, return_inverse=True)
-    sums = np.empty(keys.size, dtype=complex)
-    sums.real = np.bincount(slot, re, keys.size)
-    sums.imag = np.bincount(slot, im, keys.size)
-    return keys, first, sums
+    return keys, first, _sum_into(slot, keys.size, re, im)
+
+
+def _sum_into(slot, size, re, im):
+    """The ``size`` sums of ``re + j*im`` over each slot index in ``slot``.
+
+    Each sum is added in input order, as a running sum over the entries
+    would add it.
+    """
+    sums = np.empty(size, dtype=complex)
+    sums.real = np.bincount(slot, re, size)
+    sums.imag = np.bincount(slot, im, size)
+    return sums
 
 
 def _grid(t, s):
@@ -402,26 +408,6 @@ class LineSpectrum:
             unit,
         )
 
-    @classmethod
-    def from_records(cls, records, unit=""):
-        """Rebuild a spectrum from ``to_records`` output."""
-        pairs = []
-        for i, rec in enumerate(records):
-            try:
-                pairs.append(
-                    (float(rec["omega"]), complex(float(rec["re"]), float(rec["im"])))
-                )
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"records[{i}]: expected omega/re/im keys: {exc}") from None
-        return cls.from_lines(pairs, unit)
-
-    def to_records(self) -> list[dict]:
-        """JSON-friendly form: one {omega, re, im} record per line."""
-        return [
-            {"omega": w, "re": a.real, "im": a.imag}
-            for w, a in zip(self._omegas.tolist(), self._amps.tolist())
-        ]
-
     # ------------------------------------------------------------------
     # structure
 
@@ -462,14 +448,6 @@ class LineSpectrum:
     def omega_max(self) -> float | None:
         dc, _ = self._split()
         return float(self._omegas[-1]) if self._omegas.size > dc else None
-
-    def line_at(self, omega) -> complex:
-        """Amplitude of the line at ``omega`` (0 when absent)."""
-        match = self._omegas == omega
-        if omega > 0:
-            match |= np.abs(self._omegas - omega) <= COMMENSURATE_RTOL * omega
-        hits = np.flatnonzero(match)
-        return complex(self._amps[hits[0]]) if hits.size else 0.0 + 0.0j
 
     # ------------------------------------------------------------------
     # evaluation

@@ -103,6 +103,11 @@ def port_power_reference(sol, t):
     return 0.5 * (u * i + u_h * i_h), 0.5 * (u_h * i - u * i_h)
 
 
+def amplitude_at(spec, omega):
+    """The amplitude of the line of ``spec`` at exactly ``omega`` (0 when absent)."""
+    return complex(spec.amplitudes[spec.omegas == omega].sum())
+
+
 def reference_product(f, g, unit=""):
     """The product f g of two spectra by a two-sided convolution over lattice indices.
 

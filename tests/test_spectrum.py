@@ -161,13 +161,6 @@ def test_sampled_signal_copies_keep_their_samples_read_only(duplicate):
         twin.samples[0] = 99.0
 
 
-def test_records_round_trip(flicker_source):
-    records = flicker_source.to_records()
-    assert records[0] == {"omega": 0.8, "re": 0.5 * ROOT2, "im": 0.0}
-    back = LineSpectrum.from_records(records, VOLT)
-    assert back == flicker_source
-
-
 # ----------------------------------------------------------------------
 # evaluation
 
