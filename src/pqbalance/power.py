@@ -274,11 +274,10 @@ def default_t_grid(source: LineSpectrum, n=256) -> np.ndarray:
 
 def default_s_grid(source: LineSpectrum, n=32) -> np.ndarray:
     """s = 0 plus a geometric ladder spanning the damping range of all lines."""
-    omegas = [w for w in source.omegas if w > 0.0]
-    if omegas:
-        lo, hi = 1e-3 / max(omegas), 10.0 / min(omegas)
-    else:
+    if source.omega_max is None:
         lo, hi = 1e-3, 10.0
+    else:
+        lo, hi = 1e-3 / source.omega_max, 10.0 / source.omega_min
     return np.concatenate(([0.0], np.geomspace(lo, hi, n)))
 
 

@@ -3,8 +3,10 @@ outside the tests."""
 
 import ast
 import contextlib
+import inspect
 import io
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,15 @@ ROOT = Path(__file__).resolve().parents[1]
 # a sample average of an oracle signal, and Q of one sinusoid from stored
 # energies.  Nothing outside the tests calls them, by design.
 REFERENCE_ROUTES = {"numeric_mean", "q_from_stored_energy"}
+
+# Members of exported classes that only the tests read, one reason each.
+TEST_MEMBERS = {
+    "zero",  # LineSpectrum constructor the tests build sources with
+    "dc",  # LineSpectrum constructor the tests build sources with
+    "tone",  # LineSpectrum constructor the tests build sources with
+    "derivative",  # the exact spectrum of dW/dt that tests/test_power.py holds scaled to
+    "is_zero",  # the tests' check that a solved spectrum holds no line at all
+}
 
 
 def readme_blocks(language=r"\w*"):
@@ -37,29 +48,44 @@ def test_readme_quick_start_prints_the_flicker_powers():
 
 
 def references(path):
-    """The identifiers a module reads: loaded names, attributes, and the
-    parts of dotted names written as strings (``"oracle.ode_transient"``)."""
-    found = set()
+    """The identifiers a module reads, as (names, attributes): its loaded
+    names, and its attributes with the parts of dotted names written as
+    strings (``"oracle.ode_transient"``)."""
+    names, attributes = set(), set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            attributes.add(node.attr)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and re.fullmatch(r"\w+(\.\w+)+", node.value)):
-            found.update(node.value.split("."))
-    return found
+            attributes.update(node.value.split("."))
+    return names, attributes
 
 
 def test_every_public_name_is_used_outside_the_tests():
     # a use in src/ other than the definition and the package's export, in
-    # the benchmark harness, or in a README code block
+    # the benchmark harness, or in a README code block; a method or
+    # property of an exported class is used where it is read as an attribute
     modules = [path for path in sorted((ROOT / "src" / "pqbalance").glob("*.py"))
                if path.name != "__init__.py"]
     modules += [path for path in sorted((ROOT / "perfbench").glob("*.py"))
                 if not path.name.startswith("test_")]
-    used = set().union(*map(references, modules))
-    used |= set(re.findall(r"\w+", "\n".join(readme_blocks())))
+    names, attributes = set(), set()
+    for found_names, found_attributes in map(references, modules):
+        names |= found_names
+        attributes |= found_attributes
+    code = "\n".join(readme_blocks())
+    names |= set(re.findall(r"\w+", code))
+    attributes |= set(re.findall(r"\.(\w+)", code))
+    used = names | attributes
     unused = sorted(set(pqbalance.__all__) - used - REFERENCE_ROUTES)
     assert unused == []
     assert REFERENCE_ROUTES <= set(pqbalance.__all__) - used
+    members = {member
+               for cls in map(vars(pqbalance).get, pqbalance.__all__) if inspect.isclass(cls)
+               for member, value in vars(cls).items()
+               if not member.startswith("_") and isinstance(
+                   value, (types.FunctionType, property, classmethod, staticmethod))}
+    assert sorted(members - attributes - TEST_MEMBERS) == []
+    assert TEST_MEMBERS <= members - attributes
